@@ -49,8 +49,7 @@ CameraFeatures CameraFeatureState::features(std::size_t track_count,
 }
 
 double mean_track_motion_px(const vision::FlowField& field,
-                            const std::vector<geom::BBox>& boxes,
-                            double scale) {
+                            std::span<const geom::BBox> boxes, double scale) {
   if (boxes.empty() || scale <= 0.0) return 0.0;
   double acc = 0.0;
   for (const geom::BBox& box : boxes) {
@@ -75,13 +74,10 @@ double unexplained_motion_fraction(const vision::FlowField& field,
                                    const std::vector<geom::BBox>& explained,
                                    double scale, double motion_threshold) {
   if (field.cols <= 0 || field.rows <= 0) return 0.0;
-  // Pre-scale the explained boxes into flow-field coordinates once.
-  std::vector<geom::BBox> scaled;
-  scaled.reserve(explained.size());
+  // Explained boxes are scaled into flow-field coordinates per moving block
+  // rather than into a copied vector: this runs per camera per regular frame
+  // and must not allocate (DESIGN.md §11).
   const double inv = scale > 0.0 ? 1.0 / scale : 1.0;
-  for (const geom::BBox& b : explained)
-    scaled.push_back({b.x * inv, b.y * inv, b.w * inv, b.h * inv});
-
   const double half = static_cast<double>(field.block_size) / 2.0;
   std::size_t unexplained = 0;
   for (int r = 0; r < field.rows; ++r) {
@@ -91,7 +87,8 @@ double unexplained_motion_fraction(const vision::FlowField& field,
       const double cx = c * field.block_size + half;
       const double cy = r * field.block_size + half;
       bool inside = false;
-      for (const geom::BBox& b : scaled) {
+      for (const geom::BBox& e : explained) {
+        const geom::BBox b{e.x * inv, e.y * inv, e.w * inv, e.h * inv};
         if (cx >= b.x && cx <= b.x + b.w && cy >= b.y && cy <= b.y + b.h) {
           inside = true;
           break;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,8 +102,7 @@ struct CameraFeatureState {
 /// Returns 0 when there are no boxes. `scale` maps flow-field (rendered)
 /// pixels to logical pixels.
 double mean_track_motion_px(const vision::FlowField& field,
-                            const std::vector<geom::BBox>& boxes,
-                            double scale);
+                            std::span<const geom::BBox> boxes, double scale);
 
 /// Mean SAD residual over all flow blocks, normalized by the worst-case
 /// block SAD (block_size^2 * 255) into [0, 1].

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -126,6 +127,7 @@ struct CameraNode {
     track::FlowTracker::UpdateResult update;
     std::vector<Ghost> ghosts_kept;  ///< takeover_pass survivor buffer
     std::vector<int> visible;        ///< takeover_pass successor electorate
+    std::vector<track::Track> pre_update;  ///< policy mode: lost-list source
   };
   StepScratch step;
 
@@ -565,12 +567,14 @@ struct Pipeline::Impl {
     }
 
     // Render the key frame so the next regular frame has a flow reference.
-    for (CameraNode& cam : cameras) {
-      if (!active[static_cast<std::size_t>(cam.index)]) continue;
-      cam.render_current(mf.per_camera[static_cast<std::size_t>(cam.index)],
-                         mf.frame_index);
+    // Each camera owns its renderer, render_objs and FlowScratch, so the
+    // cameras run in parallel with nothing shared.
+    pool.parallel_for_each(cameras.size(), [&](std::size_t i) {
+      if (!active[i]) return;
+      CameraNode& cam = cameras[i];
+      cam.render_current(mf.per_camera[i], mf.frame_index);
       cam.flow_engine.rebase(cam.scratch);
-    }
+    });
 
     // The full inspection resets the detect-or-track clock of every online
     // camera (staleness, drift and confidence all restart from here).
@@ -736,12 +740,15 @@ struct Pipeline::Impl {
       policy::CameraFeatures feats;
       if (features_on) {
         ++cam.pstate.frames_since_detect;
-        std::vector<geom::BBox> track_boxes;
+        // Track boxes first, then ghosts: the tracks prefix feeds the drift
+        // and the whole list is what the camera already explains.
+        std::vector<geom::BBox>& known = cam.step.explained;
+        known.clear();
         for (const track::Track& t : cam.tracker.tracks())
-          track_boxes.push_back(t.box);
-        cam.pstate.add_drift(
-            policy::mean_track_motion_px(flow, track_boxes, cam.render_scale));
-        std::vector<geom::BBox> known = track_boxes;
+          known.push_back(t.box);
+        cam.pstate.add_drift(policy::mean_track_motion_px(
+            flow, std::span(known).first(cam.tracker.tracks().size()),
+            cam.render_scale));
         for (const Ghost& g : cam.ghosts) known.push_back(g.box);
         feats = cam.pstate.features(
             cam.tracker.tracks().size(), policy::normalized_residual(flow),
@@ -910,8 +917,10 @@ struct Pipeline::Impl {
           predicted_before = cam.tracker.predicted_boxes();
         // Snapshot so tracks removed by update() can enter the lost list
         // with their final box and velocity (policy mode only).
-        std::vector<track::Track> pre_update;
-        if (frame_policy) pre_update = cam.tracker.tracks();
+        std::vector<track::Track>& pre_update = cam.step.pre_update;
+        if (frame_policy)
+          pre_update.assign(cam.tracker.tracks().begin(),
+                            cam.tracker.tracks().end());
 
         cam.tracker.update_into(dets, frame_policy ? &inspected_ids : nullptr,
                                 cam.step.update);

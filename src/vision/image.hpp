@@ -74,6 +74,8 @@ class PaddedImage {
   int width() const { return width_; }
   int height() const { return height_; }
   int pad() const { return pad_; }
+  /// Bytes between consecutive rows (width + 2 * pad).
+  std::ptrdiff_t stride() const { return stride_; }
   bool empty() const { return width_ == 0 || height_ == 0; }
 
   /// Row pointer for y in [-pad, height+pad); valid column offsets are

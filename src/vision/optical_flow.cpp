@@ -3,27 +3,115 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/thread_pool.hpp"
 
 namespace mvs::vision {
 
+namespace {
+
+std::uint32_t abs_diff(std::uint8_t a, std::uint8_t b) {
+  return static_cast<std::uint32_t>(a > b ? a - b : b - a);
+}
+
+/// Inclusive index range of the blocks (side `bs`, `n` of them) whose
+/// centers (i + 0.5) * bs can lie in [lo, hi], widened by one block on each
+/// side so rounding never drops a block. A NaN bound widens to the whole
+/// range; an empty result has first > last.
+std::pair<int, int> covered_blocks(double lo, double hi, int bs, int n) {
+  const double first = std::max(0.0, std::floor(lo / bs - 0.5) - 1.0);
+  const double last = std::min(n - 1.0, std::ceil(hi / bs - 0.5) + 1.0);
+  return {static_cast<int>(std::min(first, static_cast<double>(n))),
+          static_cast<int>(std::max(last, -1.0))};
+}
+
+}  // namespace
+
+void SadBlock::load(const PaddedImage& a, int ax, int ay, int size) {
+  size_ = size;
+  const int chunks = size / 8;
+  const int pairs = (size + 1) / 2;
+  const int rem = size % 8;
+  packed_.assign(static_cast<std::size_t>(chunks * pairs * 16 + rem * size),
+                 0);
+  std::uint8_t* out = packed_.data();
+  for (int k = 0; k < chunks; ++k) {
+    for (int y = 0; y < size; y += 2, out += 16) {
+      std::memcpy(out, a.row(ay + y) + ax + 8 * k, 8);
+      if (y + 1 < size)
+        std::memcpy(out + 8, a.row(ay + y + 1) + ax + 8 * k, 8);
+    }
+  }
+  for (int y = 0; y < size; ++y, out += rem)
+    std::memcpy(out, a.row(ay + y) + ax + 8 * chunks,
+                static_cast<std::size_t>(rem));
+}
+
+std::uint32_t SadBlock::sad(const PaddedImage& b, int bx, int by) const {
+  const int size = size_;
+  const int chunks = size / 8;
+  const int rem = size % 8;
+  const std::ptrdiff_t stride = b.stride();
+  const std::uint8_t* const origin = b.row(by) + bx;
+  const std::uint8_t* ref = packed_.data();
+  std::uint32_t total = 0;
+#if defined(__SSE2__)
+  __m128i acc = _mm_setzero_si128();
+  for (int k = 0; k < chunks; ++k) {
+    const std::uint8_t* rb = origin + 8 * k;
+    int y = 0;
+    for (; y + 1 < size; y += 2, rb += 2 * stride, ref += 16) {
+      const __m128i cand = _mm_unpacklo_epi64(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rb)),
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rb + stride)));
+      acc = _mm_add_epi64(
+          acc, _mm_sad_epu8(
+                   _mm_loadu_si128(reinterpret_cast<const __m128i*>(ref)),
+                   cand));
+    }
+    if (y < size) {
+      // Odd last row: both high halves are zero and contribute nothing.
+      acc = _mm_add_epi64(
+          acc, _mm_sad_epu8(
+                   _mm_loadu_si128(reinterpret_cast<const __m128i*>(ref)),
+                   _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rb))));
+      ref += 16;
+    }
+  }
+  total = static_cast<std::uint32_t>(
+      _mm_cvtsi128_si32(acc) +
+      _mm_cvtsi128_si32(_mm_unpackhi_epi64(acc, acc)));
+#else
+  for (int k = 0; k < chunks; ++k) {
+    const std::uint8_t* rb = origin + 8 * k;
+    for (int y = 0; y < size; ++y, rb += stride) {
+      const std::uint8_t* rr = ref + 16 * (y / 2) + 8 * (y % 2);
+      for (int i = 0; i < 8; ++i) total += abs_diff(rr[i], rb[i]);
+    }
+    ref += 16 * ((size + 1) / 2);
+  }
+#endif
+  if (rem != 0) {
+    const std::uint8_t* rb = origin + 8 * chunks;
+    for (int y = 0; y < size; ++y, rb += stride, ref += rem)
+      for (int i = 0; i < rem; ++i) total += abs_diff(ref[i], rb[i]);
+  }
+  return total;
+}
+
 std::uint32_t padded_block_sad(const PaddedImage& a, int ax, int ay,
                                const PaddedImage& b, int bx, int by,
                                int size) {
-  std::uint32_t sad = 0;
-  for (int dy = 0; dy < size; ++dy) {
-    const std::uint8_t* ra = a.row(ay + dy) + ax;
-    const std::uint8_t* rb = b.row(by + dy) + bx;
-    std::uint32_t acc = 0;
-    for (int dx = 0; dx < size; ++dx) {
-      const int d = static_cast<int>(ra[dx]) - static_cast<int>(rb[dx]);
-      acc += static_cast<std::uint32_t>(d < 0 ? -d : d);
-    }
-    sad += acc;
-  }
-  return sad;
+  thread_local SadBlock block;  // packed capacity persists per thread
+  block.load(a, ax, ay, size);
+  return block.sad(b, bx, by);
 }
 
 void FlowScratch::advance() {
@@ -83,6 +171,9 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
   const int radius = cfg_.search_radius;
 
   auto match_row = [&](std::size_t row_index) {
+    // Rows run on arbitrary pool workers; the packed reference's capacity
+    // persists per thread (zero steady-state allocation, DESIGN.md §11).
+    thread_local SadBlock ref;
     const int r = static_cast<int>(row_index);
     for (int c = 0; c < cols; ++c) {
       const int bx = c * bs;
@@ -99,34 +190,19 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
         sy = static_cast<int>(std::lround(s.y * 2.0));
       }
 
+      ref.load(pa, bx, by, bs);
       double best = std::numeric_limits<double>::infinity();
       int best_dx = sx, best_dy = sy;
       for (int dy = sy - radius; dy <= sy + radius; ++dy) {
         for (int dx = sx - radius; dx <= sx + radius; ++dx) {
           // Slight zero-motion bias resolves flat-texture ties toward rest.
           const double penalty = 0.1 * (std::abs(dx) + std::abs(dy));
-          // Integer SAD over padded rows, abandoning the candidate as soon
-          // as the partial sum already loses to the incumbent: double
-          // addition is monotone, so a partial sum failing the acceptance
-          // test guarantees the full sum would fail it too.
-          std::uint32_t sad = 0;
-          bool rejected = false;
-          for (int yy = 0; yy < bs; ++yy) {
-            const std::uint8_t* ra = pa.row(by + yy) + bx;
-            const std::uint8_t* rb = pb.row(by + dy + yy) + bx + dx;
-            std::uint32_t acc = 0;
-            for (int xx = 0; xx < bs; ++xx) {
-              const int d = static_cast<int>(ra[xx]) - static_cast<int>(rb[xx]);
-              acc += static_cast<std::uint32_t>(d < 0 ? -d : d);
-            }
-            sad += acc;
-            if (static_cast<double>(sad) + penalty >= best) {
-              rejected = true;
-              break;
-            }
-          }
-          if (!rejected) {
-            best = static_cast<double>(sad) + penalty;
+          // Full integer SAD under the reference's acceptance comparison
+          // (exact in any summation order; DESIGN.md §7).
+          const double cost =
+              static_cast<double>(ref.sad(pb, bx + dx, by + dy)) + penalty;
+          if (cost < best) {
+            best = cost;
             best_dx = dx;
             best_dy = dy;
           }
@@ -213,8 +289,12 @@ geom::Vec2 median_flow_in(const FlowField& field, const geom::BBox& box) {
   thread_local std::vector<double> xs, ys;
   xs.clear();
   ys.clear();
-  for (int r = 0; r < field.rows; ++r) {
-    for (int c = 0; c < field.cols; ++c) {
+  const auto [c0, c1] = covered_blocks(box.x, box.x2(), field.block_size,
+                                       field.cols);
+  const auto [r0, r1] = covered_blocks(box.y, box.y2(), field.block_size,
+                                       field.rows);
+  for (int r = r0; r <= r1; ++r) {
+    for (int c = c0; c <= c1; ++c) {
       const geom::Vec2 center{(c + 0.5) * field.block_size,
                               (r + 0.5) * field.block_size};
       if (!box.contains(center)) continue;

@@ -7,12 +7,14 @@
 // "new regions" — clusters of moving pixels not explained by any tracked
 // object — where new objects may have appeared (paper Sec. II-B).
 //
-// Performance engineering (DESIGN.md §7): matching runs on edge-replicated
-// PaddedImage rows with an integer SAD and per-row early exit; per-camera
-// FlowScratch state carries the previous frame's pyramid across frames so
-// each regular frame builds exactly one pyramid and reallocates nothing.
-// Outputs are bit-identical to the straight-line reference implementation
-// (kept in tests/test_vision.cpp as the golden oracle).
+// Performance engineering (DESIGN.md §7): matching runs one SIMD integer SAD
+// kernel (SadBlock; SSE2 on x86-64, scalar elsewhere) over edge-replicated
+// PaddedImage rows, with each reference block packed once and compared
+// against every candidate; per-camera FlowScratch state carries the previous
+// frame's pyramid across frames so each regular frame builds exactly one
+// pyramid and reallocates nothing. Outputs are bit-identical to the
+// straight-line reference implementation (kept in tests/test_vision.cpp as
+// the golden oracle).
 
 #include <cstdint>
 #include <vector>
@@ -45,10 +47,32 @@ struct FlowField {
   }
 };
 
+/// The block-matching SAD kernel. load() packs a size x size reference
+/// block once; sad() then compares it against any candidate block. The
+/// packed layout is 8-column chunks stored as 16-byte row pairs (row 2p in
+/// the low half, row 2p+1 in the high half, zeros past the last row), which
+/// SSE2 `_mm_sad_epu8` consumes two rows at a time, followed by the
+/// size % 8 remainder columns row-major for a scalar tail. Other
+/// architectures run the same layout through a scalar loop. The sum is
+/// exact integer arithmetic, so every path returns the same value.
+class SadBlock {
+ public:
+  /// Pack the size x size block of `a` at (ax, ay). Reuses capacity.
+  void load(const PaddedImage& a, int ax, int ay, int size);
+
+  /// Integer SAD between the packed block and the block of `b` at (bx, by).
+  /// Reads may run into the replicated borders, which reproduces
+  /// Image::at_clamped semantics as long as every coordinate stays within
+  /// the image's pad.
+  std::uint32_t sad(const PaddedImage& b, int bx, int by) const;
+
+ private:
+  int size_ = 0;
+  std::vector<std::uint8_t> packed_;
+};
+
 /// Integer sum of absolute differences between the size x size block of `a`
-/// at (ax, ay) and the block of `b` at (bx, by). Reads may run into the
-/// replicated borders, which reproduces Image::at_clamped semantics as long
-/// as every coordinate stays within the images' pad.
+/// at (ax, ay) and the block of `b` at (bx, by): one SadBlock load + sad.
 std::uint32_t padded_block_sad(const PaddedImage& a, int ax, int ay,
                                const PaddedImage& b, int bx, int by, int size);
 

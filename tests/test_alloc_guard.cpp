@@ -20,6 +20,7 @@
 #include "obs/obs.hpp"
 #include "rt/runner.hpp"
 #include "runtime/pipeline.hpp"
+#include "sim/scenario.hpp"
 #include "util/alloc_track.hpp"
 
 namespace {
@@ -196,6 +197,49 @@ TEST(AllocGuard, PacedRuntimeSteadyTicksAllocateNothing) {
   }
   EXPECT_EQ(streak, kRequiredStreak)
       << "paced runtime never reached a zero-allocation steady state in "
+      << ticks << " ticks";
+}
+
+// The detect-or-track policy path on the benchmark's city shape: a paced
+// city grid under the heuristic frame policy with the correlation gate, a
+// lossy network, and supersede. Feature extraction (track drift,
+// unexplained motion) and the policy decision run per camera per regular
+// frame, so they are held to the same invariant as the fixed pipeline.
+TEST(AllocGuard, PacedRuntimeHeuristicPolicySteadyTicksAllocateNothing) {
+  sim::CityConfig city;
+  city.cameras = 12;
+  runtime::PipelineConfig cfg;
+  cfg.threads = 4;
+  cfg.keep_history = false;
+  cfg.frame_policy.kind = policy::PolicyKind::kHeuristic;
+  cfg.frame_policy.correlation_gate = true;
+  cfg.transport = net::TransportKind::kLossy;
+  cfg.faults.loss_rate = 0.05;
+  cfg.faults.jitter_ms = 4.0;
+  runtime::RtConfig rtc;
+  rtc.paced = true;
+  rtc.deadline_ms = 100.0;
+  rtc.late_policy = runtime::LatePolicy::kSupersede;
+  rtc.arrival_jitter_ms = 5.0;
+  rt::RtRunner runner(sim::city_scenario_name(city), cfg, rtc);
+
+  constexpr int kRequiredStreak = 9;
+  int streak = 0;
+  int ticks = 0;
+  for (; ticks < kMaxTicks && streak < kRequiredStreak; ++ticks) {
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_armed.store(true, std::memory_order_relaxed);
+    const rt::StepOutcome out = runner.step();
+    g_armed.store(false, std::memory_order_relaxed);
+    if (out.key_frame_ran) continue;  // key frames are exempt by design
+    if (g_allocs.load(std::memory_order_relaxed) == 0)
+      ++streak;
+    else
+      streak = 0;
+  }
+  EXPECT_EQ(streak, kRequiredStreak)
+      << "paced city runtime under the heuristic policy never reached a "
+         "zero-allocation steady state in "
       << ticks << " ticks";
 }
 

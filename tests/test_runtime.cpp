@@ -214,6 +214,28 @@ TEST(PipelineBehaviour, DeterministicAcrossThreadCountsAndTiling) {
   }
 }
 
+TEST(PipelineBehaviour, CityGridDeterministicAcrossThreadCounts) {
+  // Thirty cameras on four threads: every camera stage — the regular-frame
+  // step and the key-frame render + pyramid rebase — fans out over more
+  // cameras than workers, the shape of the paced city workload. Four
+  // horizons of frames cover three key-frame rebases feeding regular frames.
+  sim::CityConfig city;
+  city.cameras = 30;
+  PipelineConfig one = fast_config(Policy::kBalb, 17);
+  one.frame_policy.kind = policy::PolicyKind::kHeuristic;
+  one.frame_policy.correlation_gate = true;
+  one.threads = 1;
+  PipelineConfig wide = one;
+  wide.threads = 4;
+  const std::string name = sim::city_scenario_name(city);
+  Pipeline a(name, one);
+  Pipeline b(name, wide);
+  const PipelineResult ra = a.run(40);
+  const PipelineResult rb = b.run(40);
+  ASSERT_EQ(ra.frames.front().camera_infer_ms.size(), 30u);
+  expect_deterministic_stats_equal(ra, rb);
+}
+
 TEST(PipelineBehaviour, ObsDeterministicAcrossThreadCounts) {
   // With observability on, metric values and span counts must be
   // bit-identical at threads=1 and threads=8 — only durations (excluded

@@ -240,6 +240,51 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{0, -2}, std::pair{4, 2}, std::pair{-2, -3},
                       std::pair{6, 0}, std::pair{0, 5}));
 
+TEST(OpticalFlow, MedianFlowWindowMatchesFullScan) {
+  // median_flow_in visits only the blocks a box can cover; the result must
+  // equal a full-field scan for boxes inside, straddling and outside the
+  // field, degenerate boxes, and non-finite coordinates.
+  util::Rng rng(16);
+  FlowField field;
+  field.block_size = 8;
+  field.cols = 13;
+  field.rows = 9;
+  for (int i = 0; i < field.cols * field.rows; ++i)
+    field.flow.push_back({rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)});
+  field.residual.assign(field.flow.size(), 0.0);
+  auto full_scan = [&](const geom::BBox& box) {
+    std::vector<double> xs, ys;
+    for (int r = 0; r < field.rows; ++r)
+      for (int c = 0; c < field.cols; ++c)
+        if (box.contains({(c + 0.5) * 8, (r + 0.5) * 8})) {
+          xs.push_back(field.at(c, r).x);
+          ys.push_back(field.at(c, r).y);
+        }
+    if (xs.empty()) return geom::Vec2{0.0, 0.0};
+    const auto mid = static_cast<long>(xs.size() / 2);
+    std::nth_element(xs.begin(), xs.begin() + mid, xs.end());
+    std::nth_element(ys.begin(), ys.begin() + mid, ys.end());
+    return geom::Vec2{xs[static_cast<std::size_t>(mid)],
+                      ys[static_cast<std::size_t>(mid)]};
+  };
+  std::vector<geom::BBox> boxes = {
+      {4, 4, 8, 8},     {12, 12, 0, 0},  {-50, -50, 40, 40}, {0, 0, 104, 72},
+      {100, 68, 50, 9}, {30, 20, -5, 10}};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  boxes.push_back({-inf, 10, inf, 20});
+  boxes.push_back({nan, 10, 20, 20});
+  for (int i = 0; i < 300; ++i)
+    boxes.push_back({rng.uniform(-20.0, 110.0), rng.uniform(-20.0, 80.0),
+                     rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0)});
+  for (const geom::BBox& box : boxes) {
+    const geom::Vec2 got = median_flow_in(field, box);
+    const geom::Vec2 want = full_scan(box);
+    EXPECT_EQ(got.x, want.x) << box.x << "," << box.y << "," << box.w;
+    EXPECT_EQ(got.y, want.y) << box.x << "," << box.y << "," << box.w;
+  }
+}
+
 TEST(OpticalFlow, MedianFlowEmptyBoxIsZero) {
   FlowField field;
   field.block_size = 8;
@@ -363,21 +408,24 @@ TEST(PaddedImage, ReassignReusesStorage) {
 }
 
 TEST(PaddedSad, MatchesReferenceSad) {
+  // Sizes 1-24 cover the scalar-only path (< 8 columns), whole SIMD chunks,
+  // chunks plus a scalar remainder, and odd row counts (half-empty pair).
   util::Rng rng(14);
-  const Image a = random_image(24, 18, rng);
-  const Image b = random_image(24, 18, rng);
-  const int pad = 16;
+  const int w = 40, h = 32;
+  const Image a = random_image(w, h, rng);
+  const Image b = random_image(w, h, rng);
+  const int pad = 24;
   PaddedImage pa, pb;
   pa.assign(a, pad);
   pb.assign(b, pad);
-  for (int trial = 0; trial < 500; ++trial) {
-    const int size = rng.uniform_int(1, 8);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const int size = rng.uniform_int(1, 24);
     // Block origins anywhere in-frame; displaced origin may run `size + pad`
     // deep into the border, exactly like the clamped reference.
-    const int ax = rng.uniform_int(0, 23);
-    const int ay = rng.uniform_int(0, 17);
-    const int bx = rng.uniform_int(-pad + 1, 24 + pad - size - 1);
-    const int by = rng.uniform_int(-pad + 1, 18 + pad - size - 1);
+    const int ax = rng.uniform_int(0, w - 1);
+    const int ay = rng.uniform_int(0, h - 1);
+    const int bx = rng.uniform_int(-pad + 1, w + pad - size - 1);
+    const int by = rng.uniform_int(-pad + 1, h + pad - size - 1);
     const std::uint32_t fast = padded_block_sad(pa, ax, ay, pb, bx, by, size);
     const double gold = reference_block_sad(a, ax, ay, b, bx, by, size);
     ASSERT_EQ(static_cast<double>(fast), gold)
@@ -407,17 +455,22 @@ TEST(OpticalFlowGolden, BitIdenticalOnOddSizesAndConfigs) {
   util::Rng rng(15);
   const std::vector<std::pair<int, int>> sizes = {
       {7, 5}, {8, 8}, {9, 16}, {17, 9}, {37, 23}, {64, 40}, {31, 64}};
+  // Block sizes: 4 runs only the scalar remainder, 8/16/24 only whole SIMD
+  // chunks, 12 both.
   for (const auto [w, h] : sizes) {
-    for (const int levels : {1, 2, 4}) {
-      for (const int radius : {1, 3}) {
-        OpticalFlow::Config cfg;
-        cfg.pyramid_levels = levels;
-        cfg.search_radius = radius;
-        const OpticalFlow flow(cfg);
-        const Image a = random_image(w, h, rng);
-        const Image b = random_image(w, h, rng);
-        expect_fields_bit_identical(flow.compute(a, b),
-                                    reference_flow(cfg, a, b));
+    for (const int block : {4, 8, 12, 16, 24}) {
+      for (const int levels : {1, 2, 4}) {
+        for (const int radius : {1, 3}) {
+          OpticalFlow::Config cfg;
+          cfg.block_size = block;
+          cfg.pyramid_levels = levels;
+          cfg.search_radius = radius;
+          const OpticalFlow flow(cfg);
+          const Image a = random_image(w, h, rng);
+          const Image b = random_image(w, h, rng);
+          expect_fields_bit_identical(flow.compute(a, b),
+                                      reference_flow(cfg, a, b));
+        }
       }
     }
   }
