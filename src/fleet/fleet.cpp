@@ -1,7 +1,6 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <numeric>
 
@@ -11,22 +10,6 @@
 #include "util/json.hpp"
 
 namespace mvs::fleet {
-
-const char* to_string(DispatchPolicy policy) {
-  switch (policy) {
-    case DispatchPolicy::kRoundRobin: return "round-robin";
-    case DispatchPolicy::kWeightedPriority: return "weighted";
-  }
-  return "?";
-}
-
-std::optional<DispatchPolicy> parse_dispatch(std::string name) {
-  for (char& c : name) c = static_cast<char>(std::tolower(c));
-  if (name == "rr" || name == "round-robin") return DispatchPolicy::kRoundRobin;
-  if (name == "weighted" || name == "weighted-priority")
-    return DispatchPolicy::kWeightedPriority;
-  return std::nullopt;
-}
 
 const char* to_string(SessionState state) {
   switch (state) {
@@ -47,17 +30,16 @@ const char* to_string(FleetStatus status) {
   return "?";
 }
 
+static_assert(runtime::kMaxBurnWindow == BurnWindow::kMaxWindow,
+              "the config schema's burn window bound must match the ring");
+
 std::optional<FleetConfig> make_fleet_config(
     const runtime::FleetRunConfig& config, std::string* error) {
-  const auto dispatch = parse_dispatch(config.dispatch);
-  if (!dispatch) {
-    if (error) *error = "unknown dispatch policy: " + config.dispatch;
-    return std::nullopt;
-  }
+  if (!runtime::validate(config, error)) return std::nullopt;
   FleetConfig cfg;
   cfg.slo_ms = config.slo_ms;
   cfg.frame_period_ms = config.frame_period_ms;
-  cfg.dispatch = *dispatch;
+  cfg.dispatch = *parse_dispatch(config.dispatch);
   cfg.threads = config.threads;
   cfg.allow_degrade = config.allow_degrade;
   cfg.assumed_tasks_per_camera = config.assumed_tasks_per_camera;
@@ -65,49 +47,14 @@ std::optional<FleetConfig> make_fleet_config(
   cfg.readmit_low_water = config.readmit_low_water;
   cfg.readmit_high_water = config.readmit_high_water;
   cfg.allow_split = config.allow_split;
-  if (config.dispatch_overhead_ms < 0.0) {
-    if (error) *error = "dispatch_overhead_ms must be >= 0";
-    return std::nullopt;
-  }
   cfg.dispatch_overhead_ms = config.dispatch_overhead_ms;
-  if (config.shards < 1) {
-    if (error) *error = "shards must be >= 1";
-    return std::nullopt;
-  }
   cfg.shards = config.shards;
-  if (config.shard_capacity < 0) {
-    if (error) *error = "shard_capacity must be >= 0";
-    return std::nullopt;
-  }
   cfg.shard_capacity = config.shard_capacity;
-  if (config.rebalance_interval < 0) {
-    if (error) *error = "rebalance_interval must be >= 0";
-    return std::nullopt;
-  }
   cfg.rebalance_interval = config.rebalance_interval;
-  if (config.rebalance_high_water <= 1.0) {
-    if (error) *error = "rebalance_high_water must be > 1";
-    return std::nullopt;
-  }
   cfg.rebalance_high_water = config.rebalance_high_water;
-  if (config.burn_error_budget < 0.0 || config.burn_error_budget > 1.0) {
-    if (error) *error = "burn_error_budget must be in [0, 1]";
-    return std::nullopt;
-  }
   cfg.burn_error_budget = config.burn_error_budget;
-  if (config.burn_fast_window < 1 || config.burn_slow_window < 1 ||
-      config.burn_fast_window > config.burn_slow_window ||
-      config.burn_slow_window > BurnWindow::kMaxWindow) {
-    if (error) *error = "burn windows out of range";
-    return std::nullopt;
-  }
   cfg.burn_fast_window = config.burn_fast_window;
   cfg.burn_slow_window = config.burn_slow_window;
-  if (config.burn_raise <= 0.0 || config.burn_clear <= 0.0 ||
-      config.burn_clear > config.burn_raise) {
-    if (error) *error = "burn thresholds out of range";
-    return std::nullopt;
-  }
   cfg.burn_raise = config.burn_raise;
   cfg.burn_clear = config.burn_clear;
   cfg.burn_degrade = config.burn_degrade;

@@ -26,14 +26,11 @@
 
 namespace mvs::fleet {
 
-enum class DispatchPolicy {
-  kRoundRobin,        ///< rotate deferral burden fairly across sessions
-  kWeightedPriority,  ///< defer lowest-weight sessions first under pressure
-};
-
-const char* to_string(DispatchPolicy policy);
-/// Parse "rr" | "round-robin" | "weighted", case-insensitive.
-std::optional<DispatchPolicy> parse_dispatch(std::string name);
+// The dispatch vocabulary lives in runtime so the config schema can check
+// names at parse time.
+using runtime::DispatchPolicy;
+using runtime::parse_dispatch;
+using runtime::to_string;
 
 struct FleetConfig {
   /// Per-tick GPU latency deadline (ms). <= 0 disables admission control
@@ -198,10 +195,9 @@ struct FleetSnapshot {
 };
 
 /// Build a FleetConfig from the config-file representation; nullopt (with
-/// *error filled) on an unknown dispatch policy name or out-of-range
-/// sharding knobs. Session specs and device_scale entries are NOT applied
-/// here — admit() / scale_devices() them explicitly (see
-/// tools/mvsched_cli.cpp for the canonical loop).
+/// *error filled) when runtime::validate rejects it. Session specs and
+/// device_scale entries are NOT applied here — admit() / scale_devices()
+/// them explicitly (see tools/mvsched_cli.cpp for the canonical loop).
 std::optional<FleetConfig> make_fleet_config(
     const runtime::FleetRunConfig& config, std::string* error = nullptr);
 

@@ -1,6 +1,8 @@
 #include "util/args.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace mvs::util {
@@ -55,6 +57,15 @@ double Args::number_or(const std::string& name, double fallback) const {
 
 int Args::int_or(const std::string& name, int fallback) const {
   return static_cast<int>(number_or(name, fallback));
+}
+
+std::optional<double> parse_number(const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      end != text.c_str() + text.size() || !std::isfinite(v))
+    return std::nullopt;
+  return v;
 }
 
 }  // namespace mvs::util

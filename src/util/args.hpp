@@ -23,6 +23,10 @@ class Args {
   double number_or(const std::string& name, double fallback) const;
   int int_or(const std::string& name, int fallback) const;
 
+  /// Every --option seen, by name (switches map to "").
+  const std::map<std::string, std::string>& options() const {
+    return options_;
+  }
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
@@ -31,5 +35,9 @@ class Args {
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// Strict number parse: the whole text must be one finite number
+/// ("12", "-0.5", "1e3"); nullopt otherwise ("", "abc", "8ms", "inf").
+std::optional<double> parse_number(const std::string& text);
 
 }  // namespace mvs::util

@@ -265,7 +265,7 @@ std::string Json::dump() const {
     case Type::kNull: out << "null"; break;
     case Type::kBool: out << (bool_ ? "true" : "false"); break;
     case Type::kNumber: {
-      if (num_ == static_cast<long long>(num_) && std::abs(num_) < 1e15) {
+      if (std::abs(num_) < 1e15 && num_ == static_cast<long long>(num_)) {
         out << static_cast<long long>(num_);
       } else {
         // Shortest decimal that round-trips to the same double: exported
