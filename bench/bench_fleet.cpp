@@ -18,19 +18,21 @@
 // only the wall-clock columns vary run to run.
 //
 // --scale switches to the sharded-plane scaling sweep: synthetic-load
-// sessions (no vision stack) hosted on ShardedFleet planes of each listed
-// shard count, reporting ticks/sec, the second merge level's cross-shard
-// batch savings, and device-pool queue drain (bench/fleet_scale.hpp).
+// sessions (fleet::SyntheticSource-backed, no vision stack, so 10k sessions
+// admit in milliseconds) hosted on ShardedFleet planes of each listed shard
+// count, reporting admission time, ticks/sec, the second merge level's
+// cross-shard batch savings, and device-pool queue drain. Everything but the
+// wall-clock columns is deterministic for a given (sessions, shards, ticks,
+// seed).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <memory>
-
-#include "bench/fleet_scale.hpp"
 #include "fleet/fleet_api.hpp"
 #include "util/args.hpp"
 #include "util/bench_info.hpp"
@@ -38,8 +40,94 @@
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
+namespace {
+
+using namespace mvs;
+
+struct ScalePoint {
+  int sessions = 0;
+  int shards = 0;
+  int ticks = 0;
+  double admit_ms = 0.0;        ///< wall clock to admit the whole roster
+  double run_ms = 0.0;          ///< wall clock for run(ticks)
+  double ticks_per_sec = 0.0;   ///< serving throughput
+  long frames = 0;              ///< session-frames served
+  long shared_batches = 0;      ///< Σ shard-local merged batches
+  long cross_batches_saved = 0; ///< second merge level's additional saving
+  double cross_busy_saved_ms = 0.0;
+  double total_queue_ms = 0.0;  ///< device-pool queueing (drains with shards)
+  double mean_occupancy = 0.0;
+  long migrations = 0;
+};
+
+/// Run one (sessions, shards) scale point. Sessions are synthetic copies of
+/// `scenario` with consecutive seeds; rebalancing scans every 20 ticks.
+ScalePoint run_scale_point(const std::string& scenario, int sessions,
+                           int shards, int ticks, std::uint64_t seed,
+                           int threads) {
+  fleet::FleetConfig cfg;
+  cfg.shards = shards;
+  cfg.threads = threads;
+  cfg.rebalance_interval = 20;
+  const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
+
+  ScalePoint point;
+  point.sessions = sessions;
+  point.shards = shards;
+  point.ticks = ticks;
+
+  util::Stopwatch admit_watch;
+  for (int s = 0; s < sessions; ++s) {
+    fleet::SessionSpec spec;
+    spec.name = scenario + "#" + std::to_string(s);
+    spec.scenario = scenario;
+    spec.synthetic = true;
+    spec.pipeline.seed = seed + static_cast<std::uint64_t>(s);
+    fleet->admit(spec);
+  }
+  point.admit_ms = admit_watch.elapsed_ms();
+
+  util::Stopwatch run_watch;
+  fleet->run(ticks);
+  point.run_ms = run_watch.elapsed_ms();
+  point.ticks_per_sec = point.run_ms > 0.0
+                            ? 1000.0 * static_cast<double>(ticks) / point.run_ms
+                            : 0.0;
+
+  const fleet::FleetSnapshot snap = fleet->snapshot();
+  for (const fleet::SessionSnapshot& s : snap.sessions)
+    point.frames += s.frames;
+  point.shared_batches = snap.shared_batches;
+  point.cross_batches_saved = snap.cross_batches_saved;
+  point.cross_busy_saved_ms = snap.cross_busy_saved_ms;
+  point.total_queue_ms = snap.total_queue_ms;
+  point.mean_occupancy = snap.mean_occupancy;
+  point.migrations = snap.migrations;
+  return point;
+}
+
+util::Json scale_point_json(const ScalePoint& p) {
+  util::Json::Object o;
+  o["sessions"] = util::Json(p.sessions);
+  o["shards"] = util::Json(p.shards);
+  o["ticks"] = util::Json(p.ticks);
+  o["admit_ms"] = util::Json(p.admit_ms);
+  o["run_ms"] = util::Json(p.run_ms);
+  o["ticks_per_sec"] = util::Json(p.ticks_per_sec);
+  o["frames"] = util::Json(static_cast<double>(p.frames));
+  o["shared_batches"] = util::Json(static_cast<double>(p.shared_batches));
+  o["cross_batches_saved"] =
+      util::Json(static_cast<double>(p.cross_batches_saved));
+  o["cross_busy_saved_ms"] = util::Json(p.cross_busy_saved_ms);
+  o["total_queue_ms"] = util::Json(p.total_queue_ms);
+  o["mean_occupancy"] = util::Json(p.mean_occupancy);
+  o["migrations"] = util::Json(static_cast<double>(p.migrations));
+  return util::Json(std::move(o));
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace mvs;
   const util::Args args = util::Args::parse(argc, argv, {"scale"});
   const std::string scenario = args.get_or("scenario", "S2");
   const int max_sessions = args.int_or("sessions", 4);
@@ -63,7 +151,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Sharded-plane scaling sweep (synthetic sessions; see fleet_scale.hpp).
+  // Sharded-plane scaling sweep (synthetic sessions; see run_scale_point).
   if (args.has("scale")) {
     const auto parse_int_list = [](const std::string& spec,
                                    std::vector<int>* out) {
@@ -96,7 +184,7 @@ int main(int argc, char** argv) {
     util::Json::Array scale_json;
     for (const int n : session_counts) {
       for (const int k : shard_counts) {
-        const bench::ScalePoint p = bench::run_scale_point(
+        const ScalePoint p = run_scale_point(
             scenario, n, k, scale_ticks, seed, cfg.threads);
         scale_table.add_row(
             {std::to_string(p.sessions), std::to_string(p.shards),
@@ -107,7 +195,7 @@ int main(int argc, char** argv) {
              util::Table::fmt(p.cross_busy_saved_ms, 1),
              util::Table::fmt(p.total_queue_ms, 1),
              std::to_string(p.migrations)});
-        scale_json.push_back(bench::scale_point_json(p));
+        scale_json.push_back(scale_point_json(p));
       }
     }
     std::printf("scenario=%s ticks=%d synthetic scale sweep\n",

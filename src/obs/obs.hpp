@@ -4,8 +4,9 @@
 //
 // All instrumentation macros compile down to a relaxed load of one
 // std::atomic<bool> when observability is disabled (the default), so
-// instrumented hot paths cost one predictable branch (<1% on bench_pipeline;
-// see bench/bench_obs.cpp and DESIGN.md §9).
+// instrumented hot paths cost one predictable branch (DESIGN.md §9;
+// perfbench's untraced runs measure with it off, obs.trace_overhead_frac
+// prices turning it on).
 //
 // Usage:
 //   obs::set_enabled(true);

@@ -1,9 +1,11 @@
 #include "sim/scenario.hpp"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 
 namespace mvs::sim {
 
@@ -204,15 +206,24 @@ std::string city_scenario_name(const CityConfig& c) {
 std::optional<CityConfig> parse_city_name(const std::string& name) {
   CityConfig c;
   if (name == "city") return c;
+  constexpr std::string_view kPrefix = "city:cams=";
+  if (name.rfind(kPrefix, 0) != 0) return std::nullopt;
+  // from_chars fails on a count that does not fit an int, where sscanf's %d
+  // would be undefined behaviour.
+  const char* const end = name.data() + name.size();
+  const auto [rest, ec] =
+      std::from_chars(name.data() + kPrefix.size(), end, c.cameras);
+  if (ec != std::errc{}) return std::nullopt;
+  // %1d cannot overflow; %n checks the whole name was consumed.
   int night = 0;
+  int consumed = -1;
   const int n = std::sscanf(
-      name.c_str(),
-      "city:cams=%d;block=%lf;rate=%lf;depth=%lf;"
-      "flash=%lf,%lf,%lf;night=%d,%lf,%lf",
-      &c.cameras, &c.block_m, &c.rate_per_s, &c.camera_depth_m, &c.flash_at_s,
+      rest,
+      ";block=%lf;rate=%lf;depth=%lf;flash=%lf,%lf,%lf;night=%1d,%lf,%lf%n",
+      &c.block_m, &c.rate_per_s, &c.camera_depth_m, &c.flash_at_s,
       &c.flash_duration_s, &c.flash_multiplier, &night, &c.night_period_s,
-      &c.night_miss_boost);
-  if (n != 10) return std::nullopt;
+      &c.night_miss_boost, &consumed);
+  if (n != 9 || rest + consumed != end) return std::nullopt;
   if (c.cameras < 1 || c.cameras > 1000 || c.block_m <= 0.0 ||
       c.camera_depth_m <= 0.0 || c.rate_per_s < 0.0)
     return std::nullopt;

@@ -86,21 +86,6 @@ std::string git_revision(const std::string& start_dir) {
   return {};
 }
 
-double median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  const std::size_t mid = values.size() / 2;
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<long>(mid), values.end());
-  double m = values[mid];
-  if (values.size() % 2 == 0) {
-    const double lower =
-        *std::max_element(values.begin(),
-                          values.begin() + static_cast<long>(mid));
-    m = 0.5 * (m + lower);
-  }
-  return m;
-}
-
 Json bench_env_json() {
   const MachineInfo info = machine_info();
   Json::Object env;

@@ -1,11 +1,9 @@
 #pragma once
-// Environment metadata and small statistics helpers for the perf-regression
-// harness (bench/bench_pipeline, tools/bench_report). BENCH_*.json files
-// embed this metadata so numbers from different machines/revisions are
-// comparable across the project's performance trajectory.
+// Environment metadata for the JSON artifacts the acceptance benches write
+// (bench_fleet, bench_streaming, ablation_policy): each embeds this envelope
+// so a reader can tell which machine and revision produced it.
 
 #include <string>
-#include <vector>
 
 #include "util/json.hpp"
 
@@ -24,11 +22,8 @@ MachineInfo machine_info();
 /// Empty string when no repository is found.
 std::string git_revision(const std::string& start_dir = ".");
 
-/// Median of `values` (by copy; empty input yields 0).
-double median(std::vector<double> values);
-
 /// JSON object with os/cpu/threads/build_type/git_rev/generated_unix —
-/// the common envelope of every BENCH_*.json.
+/// the common envelope of every bench artifact.
 Json bench_env_json();
 
 }  // namespace mvs::util

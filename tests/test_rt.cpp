@@ -286,6 +286,15 @@ TEST(CityScenario, BareNameYieldsDefaults) {
   EXPECT_EQ(parsed->cameras, 50);
   EXPECT_FALSE(sim::parse_city_name("S1").has_value());
   EXPECT_FALSE(sim::parse_city_name("city:bogus").has_value());
+  const std::string tail =
+      ";block=120;rate=0.01;depth=60;flash=0,5,1;night=0,10,0";
+  const auto four = sim::parse_city_name("city:cams=4" + tail);
+  ASSERT_TRUE(four.has_value());
+  EXPECT_EQ(four->cameras, 4);
+  // 2^32 + 1 must not wrap to a 1-camera grid; trailing text is not ignored.
+  EXPECT_FALSE(sim::parse_city_name("city:cams=4294967297" + tail).has_value());
+  EXPECT_FALSE(sim::parse_city_name("city:cams=4" + tail + ";zzz").has_value());
+  EXPECT_FALSE(sim::parse_city_name("city:cams=" + tail).has_value());
 }
 
 TEST(CityScenario, FlashCrowdMultipliesArrivalRate) {
