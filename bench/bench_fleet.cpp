@@ -19,7 +19,7 @@
 //
 // --scale switches to the sharded-plane scaling sweep: synthetic-load
 // sessions (fleet::SyntheticSource-backed, no vision stack, so 10k sessions
-// admit in milliseconds) hosted on ShardedFleet planes of each listed shard
+// admit in milliseconds) hosted on serving planes of each listed shard
 // count, reporting admission time, ticks/sec, the second merge level's
 // cross-shard batch savings, and device-pool queue drain. Everything but the
 // wall-clock columns is deterministic for a given (sessions, shards, ticks,

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   cfg.readmit_interval = 10;      // reverse-ladder scan every 10 ticks
   cfg.allow_split = true;         // SLO-protective batch splitting
   // The walkthrough drives the serving plane through FleetApi only — the
-  // same code serves a ShardedFleet by setting cfg.shards > 1.
+  // same code serves several shards by setting cfg.shards > 1.
   const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
 
   runtime::TraceRecorder trace;
@@ -157,13 +157,17 @@ int main(int argc, char** argv) {
               static_cast<long>(trace.count(runtime::TraceEventType::kDeviceScale)),
               static_cast<long>(trace.count(runtime::TraceEventType::kBatchSplit)));
 
+  // The registry holds fleet metrics per shard ("fleet.shard.0.*" for this
+  // one-shard plane); the flat "fleet.*" rollups exist only in to_json().
+  // Looking a flat name up here would register an empty histogram that
+  // shadows the merged one in the export below.
   const auto p99 = [](const char* name) {
     return obs::metrics().histogram(name).percentile(99.0);
   };
   std::printf("obs: %zu spans | fleet.tick_busy_ms p99 %.1f | "
               "gpu.merged_busy_ms p99 %.1f\n",
-              obs::tracer().total_events(), p99("fleet.tick_busy_ms"),
-              p99("gpu.merged_busy_ms"));
+              obs::tracer().total_events(),
+              p99("fleet.shard.0.tick_busy_ms"), p99("gpu.merged_busy_ms"));
   if (argc > 1) {
     std::ofstream out(argv[1]);
     out << obs::tracer().chrome_trace_json() << '\n';

@@ -87,9 +87,10 @@ struct DeferredSlice {
 
 /// One (device class, size class) cell of a tick's merged plan: the task
 /// count the class actually executed this tick (post-split). This is the
-/// hook for the SECOND merge level: a ShardedFleet folds every shard's
+/// hook for the SECOND merge level: the Fleet plane folds every shard's
 /// cells per device class to price what a cross-shard merge would save
-/// (sharded_fleet.cpp). Only non-empty cells are listed.
+/// (cross_shard_merge in shard.cpp). Only non-empty cells are listed,
+/// sorted by (device class name, size class), one cell per pair.
 struct MergeCell {
   const gpu::DeviceProfile* device = nullptr;  ///< non-owning
   geom::SizeClassId size_class = 0;

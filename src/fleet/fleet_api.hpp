@@ -1,16 +1,18 @@
 #pragma once
 // mvs::fleet public serving interface.
 //
-// FleetApi is the one surface callers program against: a single-shard
-// Fleet and a sharded ShardedFleet implement it identically, so examples,
-// benches, and the CLI are written once and scale from one session to ten
-// thousand by flipping FleetConfig::shards. Sessions are addressed by
+// FleetApi is the one surface callers program against. Its one
+// implementation, the serving plane fleet::Fleet (fleet.hpp), hosts
+// sessions on FleetConfig::shards shards — one is the ordinary case — so
+// examples, benches, and the CLI are written once and scale from one
+// session to ten thousand by raising the shard count. Sessions are addressed by
 // opaque SessionHandle values (see handle.hpp) that stay valid across
 // live migration between shards; handle misuse after release() returns a
 // typed FleetStatus instead of silently addressing a reused slot.
 //
 // This header also owns the fleet vocabulary types — config, admission
-// result, rollup snapshots — shared by both implementations.
+// result, rollup snapshots. Callers that include only this header see none
+// of the per-shard engine.
 
 #include <cstdint>
 #include <memory>
@@ -40,9 +42,8 @@ struct FleetConfig {
   /// with a different native fps grow the wheel (see wheel_hz()).
   double frame_period_ms = 100.0;
   DispatchPolicy dispatch = DispatchPolicy::kRoundRobin;
-  /// Shared worker pool width (0 = hardware concurrency). All sessions'
-  /// per-camera parallelism — and, sharded, all shards — run on this one
-  /// pool.
+  /// Shared worker pool width (0 = hardware concurrency). All shards and
+  /// all sessions' per-camera parallelism run on this one pool.
   int threads = 0;
   /// Allow the admission controller to degrade instead of rejecting.
   bool allow_degrade = true;
@@ -63,13 +64,12 @@ struct FleetConfig {
   /// Fixed per-batch dispatch cost (ms) charged by the device pools; see
   /// TickContext::dispatch_overhead_ms. 0 = ideal overhead-free arbiter.
   double dispatch_overhead_ms = 0.0;
-  /// Serving-plane width (make_fleet: 1 = single Fleet, > 1 = ShardedFleet
-  /// with this many shards, each with its own arbiter and tick wheel).
+  /// Serving-plane width: shards, each with its own arbiter and tick wheel.
   int shards = 1;
-  /// Max live sessions per shard; 0 = unbounded. The sharded admission
-  /// check against this is O(1) (DESIGN.md §13).
+  /// Max live sessions per shard; 0 = unbounded. The admission check
+  /// against this is O(1) (DESIGN.md §13).
   int shard_capacity = 0;
-  /// Ticks between sharded rebalance scans; 0 disables background
+  /// Ticks between rebalance scans; 0 disables background
   /// migration. Each scan moves at most ONE session off the hottest shard
   /// (hysteresis, like readmit_scan).
   int rebalance_interval = 0;
@@ -86,9 +86,6 @@ struct FleetConfig {
   /// A shard-level raise edge immediately applies one degrade rung to the
   /// heaviest restorable session (alerting coupled to mitigation).
   bool burn_degrade = false;
-  /// Internal: which shard of a ShardedFleet this Fleet is (-1 =
-  /// standalone). Namespaces the obs metric keys; not a config-file knob.
-  int shard_index = -1;
 };
 
 /// The per-session serving spec is owned by runtime::config (the JSON-
@@ -108,14 +105,14 @@ struct AdmitResult {
   bool masks_tightened = false;  ///< degraded: solo-coverage adoption only
   bool rate_halved = false;      ///< degraded: runs at half its native rate
   double projected_ms = 0.0;     ///< fleet demand estimate at decision time
-  int shard = -1;                ///< placement (0 for a standalone Fleet)
+  int shard = -1;                ///< placement shard (-1 when rejected)
   std::string reason;
 };
 
 /// Per-session rollup (stats snapshot).
 struct SessionSnapshot {
   SessionHandle handle;  ///< the caller-facing identity (migration-stable)
-  int shard = 0;         ///< hosting shard (0 for a standalone Fleet)
+  int shard = 0;         ///< hosting shard
   std::string name;
   SessionState state = SessionState::kActive;
   double weight = 1.0;
@@ -141,7 +138,7 @@ struct SessionSnapshot {
   double slow_burn = 0.0;    ///< burn rate over the slow window
 };
 
-/// Per-shard rollup inside a sharded snapshot (empty for a plain Fleet).
+/// Per-shard rollup inside a snapshot.
 struct ShardRollup {
   int index = 0;
   int sessions = 0;  ///< live (non-evicted) sessions hosted
@@ -161,15 +158,14 @@ struct FleetSnapshot {
   int admitted = 0, rejected = 0, evicted = 0;
   int readmitted = 0;       ///< degrade-ladder rungs restored
   int redegraded = 0;       ///< degrade-ladder rungs re-applied under load
-  long migrations = 0;      ///< sessions moved between shards (sharded only)
+  long migrations = 0;      ///< sessions moved between shards
   long batch_splits = 0;    ///< arbiter batch splits across all ticks
   long shared_batches = 0, isolated_batches = 0;
   double shared_busy_ms = 0.0, isolated_busy_ms = 0.0;
   double total_queue_ms = 0.0;  ///< summed device-pool queueing delay
-  /// Second merge level (sharded only): batches / busy the fleet WOULD
-  /// additionally save if each device class's per-shard residual batches
-  /// were topped up across shards every tick (0 with one shard — the
-  /// shard-of-one identity).
+  /// Second merge level: batches / busy the fleet WOULD additionally save
+  /// if each device class's per-shard residual batches were topped up
+  /// across shards every tick (exactly 0 with one shard).
   long cross_batches_saved = 0;
   double cross_busy_saved_ms = 0.0;
   /// Transport fault rollups summed over all sessions (lossy only).
@@ -184,10 +180,10 @@ struct FleetSnapshot {
   double p95_tick_busy_ms = 0.0;
   /// Mean sessions deferred per tick (dispatch queue depth).
   double mean_queue_depth = 0.0;
-  /// Accelerator pools by class name (count >= 1 per class in use;
-  /// sharded: per-shard replicas, so counts are per shard).
+  /// Accelerator pools by class name (count >= 1 per class in use; each
+  /// shard has its own replica, so counts are per shard).
   std::vector<std::pair<std::string, int>> device_pools;
-  std::vector<ShardRollup> shard_rollups;  ///< one per shard (sharded only)
+  std::vector<ShardRollup> shard_rollups;  ///< one per shard
   std::vector<SessionSnapshot> sessions;
 
   /// JSON document of the whole rollup (fleet object + sessions array).
@@ -201,15 +197,14 @@ struct FleetSnapshot {
 std::optional<FleetConfig> make_fleet_config(
     const runtime::FleetRunConfig& config, std::string* error = nullptr);
 
-/// The serving-plane interface. Implementations: Fleet (one shard,
-/// fleet.hpp) and ShardedFleet (N shards + migration, sharded_fleet.hpp).
+/// The serving-plane interface, implemented by Fleet (fleet.hpp).
 class FleetApi {
  public:
   virtual ~FleetApi() = default;
 
-  /// Admission-controlled session creation; see Fleet::admit for the
-  /// degrade-ladder semantics. Sharded: O(1) capacity check, least-loaded
-  /// shard placement.
+  /// Admission-controlled session creation: O(1) capacity check,
+  /// least-loaded shard placement, then the shard's degrade ladder (see
+  /// Shard::admit).
   virtual AdmitResult admit(const SessionSpec& spec) = 0;
 
   /// Lifecycle transitions. Evictions are final (kInvalidState to evict
@@ -231,11 +226,11 @@ class FleetApi {
       SessionHandle handle, FleetStatus* status = nullptr) const = 0;
 
   /// Grow (delta > 0) or shrink (delta < 0) a device class's pool at
-  /// runtime; pools never drop below one device. Sharded: applies to every
-  /// shard's replica of the class. Returns the new per-shard pool size.
+  /// runtime; pools never drop below one device. Applies to every shard's
+  /// replica of the class. Returns the new per-shard pool size.
   virtual int scale_devices(const std::string& device_class, int delta) = 0;
 
-  /// Advance one wheel tick (all shards in lockstep when sharded).
+  /// Advance one wheel tick (all shards in lockstep).
   virtual void step() = 0;
 
   virtual long ticks() const = 0;
@@ -253,9 +248,8 @@ class FleetApi {
   }
 };
 
-/// Build the serving plane the config asks for: a single Fleet when
-/// config.shards <= 1 (bit-identical to the pre-sharding runtime), a
-/// ShardedFleet otherwise.
+/// Build the serving plane (a Fleet of max(1, config.shards) shards) behind
+/// the interface, so callers need only this header.
 std::unique_ptr<FleetApi> make_fleet(const FleetConfig& config);
 
 }  // namespace mvs::fleet

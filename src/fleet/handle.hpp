@@ -4,7 +4,7 @@
 // A SessionHandle names a hosted session independently of WHERE it is
 // hosted: the id is a slot in the issuing fleet's handle table and the
 // generation counts how many tenants have occupied that slot. Moving a
-// session between shards (ShardedFleet migration) changes neither field —
+// session between shards (Fleet migration) changes neither field —
 // the handle a caller got from admit() keeps working across any number of
 // rebalances. Releasing an evicted session recycles its slot under a
 // bumped generation, so a caller holding the OLD handle gets a typed
@@ -46,8 +46,8 @@ enum class FleetStatus {
 
 const char* to_string(FleetStatus status);
 
-/// Slot table mapping live handles to an implementation payload (the
-/// fleet's internal session id, or a shard directory entry). Slots are
+/// Slot table mapping live handles to where the session lives (the
+/// fleet's directory: hosting shard + the shard's local id). Slots are
 /// allocated in admission order and recycled LIFO through a free list;
 /// every reuse bumps the generation so retired handles stay detectably
 /// stale forever (gen wraps after 2^32 - 1 tenants of one slot, far beyond
@@ -57,17 +57,13 @@ class HandleTable {
   struct Entry {
     std::uint32_t gen = 0;
     bool live = false;  ///< false once released (slot is in the free list)
-    /// Payload words, owned by the embedding fleet. `a` is the internal
-    /// session id (Fleet) or shard index (ShardedFleet); `b`/`c` hold the
-    /// inner handle for shard directories.
-    std::int64_t a = 0;
-    std::uint64_t b = 0;
-    std::uint32_t c = 0;
+    int shard = 0;      ///< hosting shard index
+    int local = -1;     ///< the session's local id on that shard
   };
 
-  /// Allocate a slot (reusing the most recently released one first) and
-  /// return its handle; the entry's payload is default-initialized.
-  SessionHandle issue() {
+  /// Allocate a slot (reusing the most recently released one first) for
+  /// the session at (`shard`, `local`) and return its handle.
+  SessionHandle issue(int shard, int local) {
     std::size_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -79,9 +75,8 @@ class HandleTable {
     Entry& e = entries_[slot];
     ++e.gen;
     e.live = true;
-    e.a = 0;
-    e.b = 0;
-    e.c = 0;
+    e.shard = shard;
+    e.local = local;
     return {static_cast<std::uint64_t>(slot), e.gen};
   }
 
@@ -111,12 +106,6 @@ class HandleTable {
     if (!e) return;
     e->live = false;
     free_.push_back(static_cast<std::size_t>(h.id));
-  }
-
-  std::size_t live_count() const {
-    std::size_t n = 0;
-    for (const Entry& e : entries_) n += e.live;
-    return n;
   }
 
  private:

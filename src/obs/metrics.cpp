@@ -236,10 +236,10 @@ std::string MetricsRegistry::to_json() const {
 
   // Per-shard metric names ("fleet.shard.<N>.<rest>") additionally roll up
   // into a synthesized merged entry under the flat name ("fleet.<rest>"),
-  // unless that name is already registered. At shards=1 the merged entry is
-  // bit-equal to what a flat Fleet would have exported (same counts, same
-  // percentile algorithm via percentile_from_counts, no "shard" key); session
-  // names that collide across shards simply sum (DESIGN.md §14).
+  // unless that name is already registered. At shards=1 the merged entry
+  // equals its "fleet.shard.0.*" source minus the "shard" key (same counts,
+  // same percentile algorithm via percentile_from_counts); session names
+  // that collide across shards simply sum (DESIGN.md §14).
   util::Json::Object counters;
   std::map<std::string, long long> merged_counters;
   for (const auto& [name, c] : counters_) {

@@ -127,9 +127,8 @@ struct FleetRunConfig {
   /// dispatcher per device class, which is what keeps wide pools from
   /// scaling linearly. 0 preserves the ideal (overhead-free) arbiter.
   double dispatch_overhead_ms = 0.0;
-  /// Serving-plane width: 1 = the classic single Fleet (bit-identical to
-  /// the pre-sharding runtime), > 1 = a ShardedFleet with this many
-  /// shards, each with its own GPU arbiter and tick wheel.
+  /// Serving-plane width: the number of shards, each with its own GPU
+  /// arbiter and tick wheel (1 = one shard, the ordinary case).
   int shards = 1;
   /// Max live sessions per shard (sharded admission's O(1) capacity
   /// check); 0 = unbounded.

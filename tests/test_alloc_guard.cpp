@@ -134,35 +134,40 @@ TEST(AllocGuard, PipelineSteadyTicksAllocateNothing) {
 }
 
 TEST(AllocGuard, FleetSteadyTicksAllocateNothing) {
-  fleet::FleetConfig fc;
-  fc.threads = 4;
-  fleet::Fleet fl(fc);
-  runtime::FleetSessionSpec spec;
-  spec.scenario = "S2";
-  spec.pipeline.keep_history = false;
-  ASSERT_TRUE(fl.admit(spec).admitted);
-  ASSERT_TRUE(fl.admit(spec).admitted);
+  for (int shards : {1, 2}) {
+    fleet::FleetConfig fc;
+    fc.threads = 4;
+    fc.shards = shards;
+    fleet::Fleet fl(fc);
+    runtime::FleetSessionSpec spec;
+    spec.scenario = "S2";
+    spec.pipeline.keep_history = false;
+    ASSERT_TRUE(fl.admit(spec).admitted);
+    ASSERT_TRUE(fl.admit(spec).admitted);
 
-  // Sessions key together every horizon (10) ticks (same spec, same phase)
-  // and key ticks are exempt, so the longest possible zero streak between
-  // key ticks is 9 — require exactly that, end to end through dispatch,
-  // session stepping, arbitration, and rollups.
-  constexpr int kRequiredStreak = 9;
-  int streak = 0;
-  int ticks = 0;
-  for (; ticks < kMaxTicks && streak < kRequiredStreak; ++ticks) {
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_armed.store(true, std::memory_order_relaxed);
-    fl.step();
-    g_armed.store(false, std::memory_order_relaxed);
-    if (g_allocs.load(std::memory_order_relaxed) == 0)
-      ++streak;
-    else
-      streak = 0;
+    // Sessions key together every horizon (10) ticks (same spec, same phase)
+    // and key ticks are exempt, so the longest possible zero streak between
+    // key ticks is 9 — require exactly that, end to end through dispatch,
+    // session stepping, arbitration, rollups and (two shards) the
+    // cross-shard fold.
+    constexpr int kRequiredStreak = 9;
+    int streak = 0;
+    int ticks = 0;
+    for (; ticks < kMaxTicks && streak < kRequiredStreak; ++ticks) {
+      g_allocs.store(0, std::memory_order_relaxed);
+      g_armed.store(true, std::memory_order_relaxed);
+      fl.step();
+      g_armed.store(false, std::memory_order_relaxed);
+      if (g_allocs.load(std::memory_order_relaxed) == 0)
+        ++streak;
+      else
+        streak = 0;
+    }
+    EXPECT_EQ(streak, kRequiredStreak)
+        << "fleet of " << shards
+        << " shard(s) never reached a zero-allocation steady state in "
+        << ticks << " ticks";
   }
-  EXPECT_EQ(streak, kRequiredStreak)
-      << "fleet never reached a zero-allocation steady state in " << ticks
-      << " ticks";
 }
 
 // The paced runtime inherits the invariant: once the arrival queue and the
@@ -289,40 +294,44 @@ TEST(AllocGuard, PacedRuntimeAttributionSteadyTicksAllocateNothing) {
 }
 
 TEST(AllocGuard, FleetAttributionSteadyTicksAllocateNothing) {
-  obs::set_attribution_enabled(true);
-  obs::FlightRecorder::Config rc;
-  rc.miss_threshold = 0;
-  obs::recorder().configure(rc);
+  for (int shards : {1, 2}) {
+    obs::set_attribution_enabled(true);
+    obs::FlightRecorder::Config rc;
+    rc.miss_threshold = 0;
+    obs::recorder().configure(rc);
 
-  fleet::FleetConfig fc;
-  fc.threads = 4;
-  fc.burn_error_budget = 0.2;  // session burn monitors push every tick
-  fleet::Fleet fl(fc);
-  runtime::FleetSessionSpec spec;
-  spec.scenario = "S2";
-  spec.pipeline.keep_history = false;
-  ASSERT_TRUE(fl.admit(spec).admitted);
-  ASSERT_TRUE(fl.admit(spec).admitted);
+    fleet::FleetConfig fc;
+    fc.threads = 4;
+    fc.shards = shards;
+    fc.burn_error_budget = 0.2;  // session burn monitors push every tick
+    fleet::Fleet fl(fc);
+    runtime::FleetSessionSpec spec;
+    spec.scenario = "S2";
+    spec.pipeline.keep_history = false;
+    ASSERT_TRUE(fl.admit(spec).admitted);
+    ASSERT_TRUE(fl.admit(spec).admitted);
 
-  constexpr int kRequiredStreak = 9;
-  int streak = 0;
-  int ticks = 0;
-  for (; ticks < kMaxTicks && streak < kRequiredStreak; ++ticks) {
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_armed.store(true, std::memory_order_relaxed);
-    fl.step();
-    g_armed.store(false, std::memory_order_relaxed);
-    if (g_allocs.load(std::memory_order_relaxed) == 0)
-      ++streak;
-    else
-      streak = 0;
+    constexpr int kRequiredStreak = 9;
+    int streak = 0;
+    int ticks = 0;
+    for (; ticks < kMaxTicks && streak < kRequiredStreak; ++ticks) {
+      g_allocs.store(0, std::memory_order_relaxed);
+      g_armed.store(true, std::memory_order_relaxed);
+      fl.step();
+      g_armed.store(false, std::memory_order_relaxed);
+      if (g_allocs.load(std::memory_order_relaxed) == 0)
+        ++streak;
+      else
+        streak = 0;
+    }
+    obs::set_attribution_enabled(false);
+    obs::reset();
+    EXPECT_EQ(streak, kRequiredStreak)
+        << "fleet of " << shards
+        << " shard(s) with attribution never reached a zero-allocation "
+           "steady state in "
+        << ticks << " ticks";
   }
-  obs::set_attribution_enabled(false);
-  obs::reset();
-  EXPECT_EQ(streak, kRequiredStreak)
-      << "fleet with attribution never reached a zero-allocation steady "
-         "state in "
-      << ticks << " ticks";
 }
 
 TEST(AllocGuard, SpanRecordingAllocatesNothingOnHotThread) {

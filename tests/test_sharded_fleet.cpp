@@ -1,12 +1,13 @@
-// Sharded serving plane tests (mvs::fleet::ShardedFleet).
+// Serving plane tests across shards (mvs::fleet::Fleet).
 //
-// Pins the four plane-level guarantees from DESIGN.md §13 — the
-// shard-of-one identity (ShardedFleet{shards=1} is bit-identical to a
-// plain Fleet), conservation of per-session stats across live migration,
-// deterministic least-loaded placement independent of the worker-pool
-// width, and the second merge level's exact-zero saving at one shard —
-// plus the typed handle-error surface on the sharded directory and a
-// 1k-session synthetic admission smoke.
+// Pins the plane-level guarantees from DESIGN.md §13 — conservation of
+// per-session stats across live migration, deterministic least-loaded
+// placement independent of the worker-pool width, the second merge
+// level's exact-zero saving at one shard, wheels that grow only for
+// admitted sessions, and rebalance scans that leave sessions untouched
+// unless they move one — plus the typed handle-error surface on the
+// directory, the merged metrics exposition and a 1k-session synthetic
+// admission smoke.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include <optional>
 
 #include "fleet/fleet.hpp"
-#include "fleet/sharded_fleet.hpp"
 #include "obs/obs.hpp"
 #include "runtime/trace.hpp"
 #include "util/json.hpp"
@@ -78,9 +78,8 @@ void expect_sessions_identical(const FleetSnapshot& a, const FleetSnapshot& b) {
   }
 }
 
-/// Bit-exact equality on every snapshot field two implementations share
-/// (everything except `shards` and `shard_rollups`, the only fields a
-/// one-shard plane legitimately reports differently).
+/// Bit-exact equality on every plane-level snapshot field and every
+/// session row (the per-shard rollups are not compared).
 void expect_snapshot_identical(const FleetSnapshot& a, const FleetSnapshot& b) {
   EXPECT_EQ(a.ticks, b.ticks);
   EXPECT_EQ(a.wheel_hz, b.wheel_hz);
@@ -107,74 +106,22 @@ void expect_snapshot_identical(const FleetSnapshot& a, const FleetSnapshot& b) {
   expect_sessions_identical(a, b);
 }
 
-// ------------------------------------------------- shard-of-one identity --
+// ------------------------------------------------------------ make_fleet --
 
-TEST(ShardedFleet, ShardOfOneBitIdenticalToFleet) {
-  // The whole serving surface — admission (degrade ladder), wheel growth,
-  // lifecycle, eviction, stepping — driven identically against a plain
-  // Fleet and a one-shard plane must produce bit-identical snapshots and
-  // session results.
-  FleetConfig cfg;
-  cfg.readmit_interval = 5;
-  cfg.allow_split = true;
-
-  Fleet plain(cfg);
-  ShardedFleet sharded(cfg);  // cfg.shards == 1
-  ASSERT_EQ(sharded.shard_count(), 1);
-
-  const auto drive = [](FleetApi& fleet) {
-    std::vector<SessionHandle> handles;
-    handles.push_back(fleet.admit(pipeline_spec("a", 21)).handle);
-    handles.push_back(fleet.admit(pipeline_spec("b", 22, /*fps=*/15)).handle);
-    fleet.run(12);
-    handles.push_back(fleet.admit(pipeline_spec("c", 23)).handle);
-    fleet.run(6);
-    EXPECT_EQ(fleet.pause(handles[1]), FleetStatus::kOk);
-    fleet.run(6);
-    EXPECT_EQ(fleet.resume(handles[1]), FleetStatus::kOk);
-    EXPECT_EQ(fleet.evict(handles[0]), FleetStatus::kOk);
-    fleet.run(6);
-    return handles;
-  };
-  const std::vector<SessionHandle> ph = drive(plain);
-  const std::vector<SessionHandle> sh = drive(sharded);
-  ASSERT_EQ(ph.size(), sh.size());
-  for (std::size_t i = 0; i < ph.size(); ++i) EXPECT_EQ(ph[i], sh[i]);
-
-  const FleetSnapshot a = plain.snapshot();
-  const FleetSnapshot b = sharded.snapshot();
-  EXPECT_EQ(a.shards, 1);
-  EXPECT_EQ(b.shards, 1);
-  expect_snapshot_identical(a, b);
-
-  // Session results are bit-identical too, including the evicted one's
-  // retained result.
-  for (std::size_t i = 0; i < ph.size(); ++i) {
-    const runtime::PipelineResult rp = plain.result(ph[i]);
-    const runtime::PipelineResult rs = sharded.result(sh[i]);
-    ASSERT_EQ(rp.frames.size(), rs.frames.size()) << i;
-    EXPECT_DOUBLE_EQ(rp.object_recall, rs.object_recall) << i;
-    for (std::size_t f = 0; f < rp.frames.size(); ++f)
-      EXPECT_DOUBLE_EQ(rp.frames[f].slowest_infer_ms,
-                       rs.frames[f].slowest_infer_ms);
-  }
-}
-
-TEST(ShardedFleet, MakeFleetPicksTheImplementationByShards) {
+TEST(FleetPlane, MakeFleetBuildsThePlaneAtEveryShardCount) {
   FleetConfig cfg;
   const std::unique_ptr<FleetApi> one = make_fleet(cfg);
   EXPECT_EQ(one->snapshot().shards, 1);
-  EXPECT_EQ(dynamic_cast<ShardedFleet*>(one.get()), nullptr);
+  EXPECT_EQ(one->snapshot().shard_rollups.size(), 1u);
   cfg.shards = 4;
   const std::unique_ptr<FleetApi> four = make_fleet(cfg);
-  ASSERT_NE(dynamic_cast<ShardedFleet*>(four.get()), nullptr);
   EXPECT_EQ(four->snapshot().shards, 4);
   EXPECT_EQ(four->snapshot().shard_rollups.size(), 4u);
 }
 
 // ------------------------------------------------------- live migration --
 
-TEST(ShardedFleet, ForcedMigrationConservesSessionStats) {
+TEST(FleetPlane, ForcedMigrationConservesSessionStats) {
   // Mid-run migration must move the session's record whole: frame count,
   // attributed busy, latency stats and identity are exactly what they were
   // the tick before the move, and the session keeps serving on its native
@@ -182,8 +129,8 @@ TEST(ShardedFleet, ForcedMigrationConservesSessionStats) {
   // the same per-session frame counts.
   FleetConfig cfg;
   cfg.shards = 2;
-  ShardedFleet fleet(cfg);
-  ShardedFleet twin(cfg);
+  Fleet fleet(cfg);
+  Fleet twin(cfg);
 
   std::vector<SessionHandle> handles;
   std::vector<SessionHandle> twin_handles;
@@ -242,7 +189,7 @@ TEST(ShardedFleet, ForcedMigrationConservesSessionStats) {
   EXPECT_EQ(fleet.resume(handles[0]), FleetStatus::kOk);
 }
 
-TEST(ShardedFleet, RebalanceScanMigratesOffTheHottestShard) {
+TEST(FleetPlane, RebalanceScanMigratesOffTheHottestShard) {
   // Engineer an imbalance the scan must fix: admit eight sessions (they
   // place four per shard), then evict three of one shard's four. The next
   // scans see the survivor shard's windowed busy far above the high-water
@@ -251,7 +198,7 @@ TEST(ShardedFleet, RebalanceScanMigratesOffTheHottestShard) {
   FleetConfig cfg;
   cfg.shards = 2;
   cfg.rebalance_interval = 5;
-  ShardedFleet fleet(cfg);
+  Fleet fleet(cfg);
   runtime::TraceRecorder trace;
   fleet.attach_trace(&trace);
 
@@ -284,14 +231,115 @@ TEST(ShardedFleet, RebalanceScanMigratesOffTheHottestShard) {
     if (s.state == SessionState::kActive) EXPECT_EQ(s.frames, 20);
 }
 
+TEST(FleetPlane, RebalanceScanWithoutAnImprovingMoveChangesNothing) {
+  // Scans that find the plane imbalanced but no move that improves the
+  // static placement must leave every session where it is: same local id
+  // (so the same obs names), same roster position, no migration.
+  obs::reset();
+  obs::set_enabled(true);
+  FleetConfig cfg;
+  cfg.shards = 2;
+  cfg.rebalance_interval = 1;
+  Fleet lone(cfg);
+  ASSERT_TRUE(lone.admit(synthetic_spec("lone", 950)).admitted);
+  // Every scan sees shard 0 busy and shard 1 idle; moving the only
+  // session would just swap the two.
+  lone.run(10);
+  EXPECT_EQ(lone.snapshot().migrations, 0);
+  std::string err;
+  const std::optional<util::Json> doc =
+      util::Json::parse(obs::metrics().to_json(), &err);
+  obs::set_enabled(false);
+  obs::reset();
+  ASSERT_TRUE(doc.has_value()) << err;
+  std::vector<std::string> session_metrics;
+  for (const auto& [name, entry] : doc->find("histograms")->as_object())
+    if (name.find(".session.") != std::string::npos)
+      session_metrics.push_back(name);
+  EXPECT_EQ(session_metrics,
+            (std::vector<std::string>{"fleet.session.0.latency_ms",
+                                      "fleet.session.0.queue_ms",
+                                      "fleet.shard.0.session.0.latency_ms",
+                                      "fleet.shard.0.session.0.queue_ms"}));
+
+  // Two equal sessions per shard: any busy difference is "imbalanced"
+  // (high water 1.0), but no single move improves 2d vs 2d.
+  cfg.rebalance_high_water = 1.0;
+  Fleet fleet(cfg);
+  for (const char* name : {"a", "b", "c", "d"})
+    ASSERT_TRUE(fleet.admit(synthetic_spec(name, 960 + name[0])).admitted);
+  const auto roster = [&] {
+    std::vector<std::pair<std::string, int>> order;
+    for (const SessionSnapshot& s : fleet.snapshot().sessions)
+      order.emplace_back(s.name, s.shard);
+    return order;
+  };
+  const auto admitted = roster();
+  for (int t = 0; t < 20; ++t) {
+    fleet.step();
+    ASSERT_EQ(roster(), admitted) << "tick " << t;
+  }
+  EXPECT_EQ(fleet.snapshot().migrations, 0);
+}
+
+// ------------------------------------------------------------ tick wheel --
+
+TEST(FleetPlane, OnlyAnAdmittedSessionGrowsTheWheels) {
+  // A session's rate reaches the wheels only once a shard admits it; a
+  // rejection — over the SLO, or every shard at capacity — leaves every
+  // wheel alone. An admitted 15 fps session grows every shard's wheel to
+  // 30 Hz, not just its placement shard's.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SessionSpec fast = synthetic_spec("fast", 990);
+    fast.fps = 15;
+
+    FleetConfig tight;
+    tight.shards = shards;
+    tight.slo_ms = 1e-3;
+    tight.allow_degrade = false;
+    Fleet over_slo(tight);
+    EXPECT_FALSE(over_slo.admit(fast).admitted);
+    EXPECT_EQ(over_slo.wheel_hz(), 10);
+
+    FleetConfig full;
+    full.shards = shards;
+    full.shard_capacity = 1;
+    Fleet fleet(full);
+    std::vector<SessionHandle> handles;
+    for (int i = 0; i < shards; ++i) {
+      const AdmitResult r =
+          fleet.admit(synthetic_spec("s" + std::to_string(i), 991 + i));
+      ASSERT_TRUE(r.admitted);
+      handles.push_back(r.handle);
+    }
+    EXPECT_FALSE(fleet.admit(fast).admitted);
+    EXPECT_EQ(fleet.wheel_hz(), 10);
+
+    // Free the LAST shard, so the 15 fps session lands there while
+    // wheel_hz() reads shard 0.
+    ASSERT_EQ(fleet.evict(handles.back()), FleetStatus::kOk);
+    const AdmitResult r = fleet.admit(fast);
+    ASSERT_TRUE(r.admitted);
+    EXPECT_EQ(r.shard, shards - 1);
+    EXPECT_EQ(fleet.wheel_hz(), 30);
+    fleet.run(30);
+    for (const SessionSnapshot& s : fleet.snapshot().sessions) {
+      if (s.state == SessionState::kActive) {
+        EXPECT_EQ(s.frames, s.fps) << s.name;  // one second of ticks
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ placement --
 
-TEST(ShardedFleet, PlacementIsDeterministicAcrossThreadCounts) {
+TEST(FleetPlane, PlacementIsDeterministicAcrossThreadCounts) {
   const auto build = [](int threads) {
     FleetConfig cfg;
     cfg.shards = 4;
     cfg.threads = threads;
-    auto fleet = std::make_unique<ShardedFleet>(cfg);
+    auto fleet = std::make_unique<Fleet>(cfg);
     std::vector<int> shards;
     for (int i = 0; i < 32; ++i) {
       const AdmitResult r =
@@ -308,11 +356,11 @@ TEST(ShardedFleet, PlacementIsDeterministicAcrossThreadCounts) {
   expect_snapshot_identical(narrow->snapshot(), wide->snapshot());
 }
 
-TEST(ShardedFleet, ShardCapacityRejectsInConstantTimeOncefull) {
+TEST(FleetPlane, ShardCapacityRejectsInConstantTimeOncefull) {
   FleetConfig cfg;
   cfg.shards = 2;
   cfg.shard_capacity = 3;
-  ShardedFleet fleet(cfg);
+  Fleet fleet(cfg);
   for (int i = 0; i < 6; ++i)
     ASSERT_TRUE(
         fleet.admit(synthetic_spec("s" + std::to_string(i), 400 + i)).admitted);
@@ -328,7 +376,7 @@ TEST(ShardedFleet, ShardCapacityRejectsInConstantTimeOncefull) {
 
 // ---------------------------------------------------- cross-shard merge --
 
-TEST(ShardedFleet, CrossShardMergeSavingsZeroAtOneShardPositiveAtTwo) {
+TEST(FleetPlane, CrossShardMergeSavingsZeroAtOneShardPositiveAtTwo) {
   // Identical synthetic tenants on each shard leave identical residual
   // (non-full) batches per device class every tick; the second merge level
   // must account a strictly positive saving for topping those up across
@@ -337,7 +385,7 @@ TEST(ShardedFleet, CrossShardMergeSavingsZeroAtOneShardPositiveAtTwo) {
   const auto savings = [](int shards) {
     FleetConfig cfg;
     cfg.shards = shards;
-    ShardedFleet fleet(cfg);
+    Fleet fleet(cfg);
     for (int i = 0; i < 2 * shards; ++i)
       EXPECT_TRUE(
           fleet.admit(synthetic_spec("s" + std::to_string(i), 500 + i))
@@ -357,10 +405,10 @@ TEST(ShardedFleet, CrossShardMergeSavingsZeroAtOneShardPositiveAtTwo) {
 
 // ------------------------------------------------------- handle hygiene --
 
-TEST(ShardedFleet, TypedHandleErrorsAcrossTheDirectory) {
+TEST(FleetPlane, TypedHandleErrorsAcrossTheDirectory) {
   FleetConfig cfg;
   cfg.shards = 2;
-  ShardedFleet fleet(cfg);
+  Fleet fleet(cfg);
   // A pipeline-backed session: result() retention across eviction is part
   // of the surface under test (synthetic sessions keep no frame results).
   const SessionHandle h = fleet.admit(pipeline_spec("a", 600)).handle;
@@ -399,13 +447,13 @@ TEST(ShardedFleet, TypedHandleErrorsAcrossTheDirectory) {
 
 // --------------------------------------------------- trace attribution --
 
-TEST(ShardedFleet, MigratedSessionTraceEventsCarryShardAndSource) {
+TEST(FleetPlane, MigratedSessionTraceEventsCarryShardAndSource) {
   // Post-migration lifecycle events must identify both where the session
   // lives now (shard) and where it came from (migrated_from), so a trace
   // reader can follow a session across the plane without a side table.
   FleetConfig cfg;
   cfg.shards = 2;
-  ShardedFleet fleet(cfg);
+  Fleet fleet(cfg);
   runtime::TraceRecorder trace;
   fleet.attach_trace(&trace);
 
@@ -453,7 +501,7 @@ TEST(ShardedFleet, MigratedSessionTraceEventsCarryShardAndSource) {
 
 // ----------------------------------------------------- obs determinism --
 
-TEST(ShardedFleet, ObsDeterministicAcrossThreadCounts) {
+TEST(FleetPlane, ObsDeterministicAcrossThreadCounts) {
   // Extends test_runtime's ObsDeterministicAcrossThreadCounts to the
   // sharded plane: every obs input is a simulated quantity, so the metrics
   // fingerprint, span counts and the critical-path attribution fingerprint
@@ -472,7 +520,7 @@ TEST(ShardedFleet, ObsDeterministicAcrossThreadCounts) {
     FleetConfig cfg;
     cfg.shards = shards;
     cfg.threads = threads;
-    ShardedFleet fleet(cfg);
+    Fleet fleet(cfg);
     for (int i = 0; i < 8; ++i)
       EXPECT_TRUE(
           fleet.admit(synthetic_spec("s" + std::to_string(i), 800 + i))
@@ -499,83 +547,67 @@ TEST(ShardedFleet, ObsDeterministicAcrossThreadCounts) {
 
 // --------------------------------------------------- merged exposition --
 
-TEST(ShardedFleet, MergedExpositionMatchesFlatFleetAtOneShard) {
+TEST(FleetPlane, MergedExpositionEqualsShardSourceAtOneShard) {
   // A one-shard plane registers its metrics under "fleet.shard.0.*"; the
-  // registry's merged rollup synthesizes flat "fleet.*" entries from them.
-  // Driven identically, those merged entries must be bit-equal (same
-  // serialized JSON) to what a plain Fleet exports directly — counters,
-  // gauges, and full histogram entries including percentiles, which the
-  // merge recomputes with the same percentile_from_counts algorithm.
-  const auto run_doc = [](bool sharded_plane) {
-    obs::reset();
-    obs::set_enabled(true);
-    FleetConfig cfg;
-    std::unique_ptr<FleetApi> fleet;
-    if (sharded_plane)
-      fleet = std::make_unique<ShardedFleet>(cfg);
-    else
-      fleet = std::make_unique<Fleet>(cfg);
-    EXPECT_TRUE(fleet->admit(pipeline_spec("a", 21)).admitted);
-    EXPECT_TRUE(fleet->admit(pipeline_spec("b", 22, /*fps=*/15)).admitted);
-    fleet->run(12);
-    std::string doc = obs::metrics().to_json();
-    obs::set_enabled(false);
-    obs::reset();
-    return doc;
-  };
+  // registry's JSON export synthesizes a flat "fleet.*" entry from each.
+  // At one shard every such entry must equal its source — counters,
+  // gauges, and full histogram entries including percentiles — except for
+  // the source histogram's "shard" label.
+  obs::reset();
+  obs::set_enabled(true);
+  Fleet fleet;
+  EXPECT_TRUE(fleet.admit(pipeline_spec("a", 21)).admitted);
+  EXPECT_TRUE(fleet.admit(pipeline_spec("b", 22, /*fps=*/15)).admitted);
+  fleet.run(12);
+  const std::string json = obs::metrics().to_json();
+  obs::set_enabled(false);
+  obs::reset();
   std::string err;
-  const std::optional<util::Json> flat = util::Json::parse(run_doc(false), &err);
-  const std::optional<util::Json> merged =
-      util::Json::parse(run_doc(true), &err);
-  ASSERT_TRUE(flat.has_value() && merged.has_value()) << err;
+  const std::optional<util::Json> doc = util::Json::parse(json, &err);
+  ASSERT_TRUE(doc.has_value()) << err;
 
-  const auto is_flat_fleet_name = [](const std::string& name) {
-    return name.rfind("fleet.", 0) == 0 && name.rfind("fleet.shard.", 0) != 0;
-  };
   int compared = 0;
   for (const char* section : {"counters", "gauges", "histograms"}) {
-    const util::Json* a = flat->find(section);
-    const util::Json* b = merged->find(section);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    for (const auto& [name, entry] : a->as_object()) {
-      if (!is_flat_fleet_name(name)) continue;
-      const util::Json* m = b->find(name);
-      ASSERT_NE(m, nullptr) << section << "/" << name << " missing from the "
-                            << "merged exposition";
-      EXPECT_EQ(entry.dump(), m->dump()) << section << "/" << name;
-      // The per-shard source entry is exposed alongside, shard-labeled —
-      // except the "fleet.events.*" counters, which both planes register
-      // flat on purpose (plane-level lifecycle tallies, not shard metrics).
-      if (name.rfind("fleet.events.", 0) != 0) {
-        const std::string shard_name =
-            "fleet.shard.0." + name.substr(std::string("fleet.").size());
-        ASSERT_NE(b->find(shard_name), nullptr) << shard_name;
+    const util::Json* entries = doc->find(section);
+    ASSERT_NE(entries, nullptr);
+    for (const auto& [name, entry] : entries->as_object()) {
+      // Only the flat fleet rollups; "fleet.events.*" lifecycle counters
+      // are registered flat on purpose and have no shard source.
+      if (name.rfind("fleet.", 0) != 0 || name.rfind("fleet.shard.", 0) == 0 ||
+          name.rfind("fleet.events.", 0) == 0)
+        continue;
+      const std::string source =
+          "fleet.shard.0." + name.substr(std::string("fleet.").size());
+      const util::Json* src = entries->find(source);
+      ASSERT_NE(src, nullptr) << section << "/" << source;
+      if (src->is_object()) {
+        EXPECT_EQ(entry.find("shard"), nullptr) << name;
+        EXPECT_EQ(src->number_or("shard", -1.0), 0.0) << source;
+        util::Json::Object unlabeled = src->as_object();
+        unlabeled.erase("shard");
+        EXPECT_EQ(entry.dump(), util::Json(std::move(unlabeled)).dump())
+            << section << "/" << name;
+      } else {
+        EXPECT_EQ(entry.dump(), src->dump()) << section << "/" << name;
       }
       ++compared;
     }
   }
   EXPECT_GT(compared, 5) << "expected a real spread of fleet metrics";
-  // The merged histogram entries carry no shard label; per-shard ones do.
-  const util::Json* hists = merged->find("histograms");
-  const util::Json* rollup = hists->find("fleet.tick_busy_ms");
-  ASSERT_NE(rollup, nullptr);
-  EXPECT_EQ(rollup->find("shard"), nullptr);
-  const util::Json* per_shard = hists->find("fleet.shard.0.tick_busy_ms");
-  ASSERT_NE(per_shard, nullptr);
-  EXPECT_EQ(per_shard->number_or("shard", -1.0), 0.0);
+  const util::Json* hists = doc->find("histograms");
+  EXPECT_NE(hists->find("fleet.tick_busy_ms"), nullptr);
 }
 
 // ------------------------------------------------------ admission smoke --
 
-TEST(ShardedFleet, ThousandSyntheticSessionsAdmitAndServe) {
+TEST(FleetPlane, ThousandSyntheticSessionsAdmitAndServe) {
   // The tier-1 scale smoke: 1k synthetic tenants across 8 shards admit
   // (O(1) each — no roster scans with admission control off), spread
   // evenly, and every one serves every tick.
   FleetConfig cfg;
   cfg.shards = 8;
   cfg.threads = 4;
-  ShardedFleet fleet(cfg);
+  Fleet fleet(cfg);
   for (int i = 0; i < 1000; ++i)
     ASSERT_TRUE(
         fleet.admit(synthetic_spec("s" + std::to_string(i), 1000 + i))

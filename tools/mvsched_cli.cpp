@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
     }
 
     // The CLI consumes the serving plane through FleetApi only: make_fleet
-    // returns a single Fleet or a ShardedFleet, and nothing below cares.
+    // builds it at any shard count, and nothing below cares.
     const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(*fc);
     for (const fleet::SessionSpec& spec : frc.sessions) {
       const fleet::AdmitResult admit = fleet->admit(spec);
