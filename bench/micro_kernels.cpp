@@ -141,7 +141,7 @@ void BM_PaddedSad(benchmark::State& state) {
 }
 BENCHMARK(BM_PaddedSad)->Arg(8)->Arg(16);
 
-void BM_OpticalFlow(benchmark::State& state) {
+void flow_pair(benchmark::State& state, int block_size) {
   vision::Renderer::Config rc;
   rc.width = static_cast<int>(state.range(0));
   rc.height = rc.width * 9 / 16;
@@ -149,11 +149,20 @@ void BM_OpticalFlow(benchmark::State& state) {
   const geom::BBox box{rc.width / 3.0, rc.height / 3.0, 30, 20};
   const vision::Image a = renderer.render({{1, box}}, 0, 7);
   const vision::Image b = renderer.render({{1, box.shifted({3, 1})}}, 1, 7);
-  const vision::OpticalFlow flow;
+  vision::OpticalFlow::Config fc;
+  fc.block_size = block_size;
+  const vision::OpticalFlow flow(fc);
   for (auto _ : state) benchmark::DoNotOptimize(flow.compute(a, b));
 }
+
+// The default block side runs the compile-time 8x8 SAD instance.
+void BM_OpticalFlow(benchmark::State& state) { flow_pair(state, 8); }
 BENCHMARK(BM_OpticalFlow)->Arg(160)->Arg(320)->Arg(640)
     ->Unit(benchmark::kMillisecond);
+
+// Any other block side runs the runtime-size SAD instance.
+void BM_OpticalFlowBlock12(benchmark::State& state) { flow_pair(state, 12); }
+BENCHMARK(BM_OpticalFlowBlock12)->Arg(320)->Unit(benchmark::kMillisecond);
 
 void BM_OpticalFlowIncremental(benchmark::State& state) {
   // Steady-state pipeline path: render into the scratch frame, compute flow

@@ -10,10 +10,15 @@ const std::array<const char*, kFeatureCount> kFeatureNames = {
     "confidence",          "churn",       "track_count",
     "demand_share",        "unexplained_motion", "track_deficit"};
 
-std::vector<double> CameraFeatures::to_vector() const {
+std::array<double, kFeatureCount> CameraFeatures::to_array() const {
   return {frames_since_detect, drift_px,    residual,     confidence,
           churn,               track_count, demand_share, unexplained_motion,
           track_deficit};
+}
+
+std::vector<double> CameraFeatures::to_vector() const {
+  const std::array<double, kFeatureCount> a = to_array();
+  return {a.begin(), a.end()};
 }
 
 void CameraFeatureState::note_detect(double mean_score, int churn_events,

@@ -54,7 +54,10 @@ struct CameraFeatures {
   /// coasting cannot re-acquire it, only detection can.
   double track_deficit = 0.0;
 
-  /// Flatten into kFeatureNames order (model/trace input).
+  /// Flatten into kFeatureNames order (model input; no allocation).
+  std::array<double, kFeatureCount> to_array() const;
+
+  /// to_array() as a vector, for the feature-trace writer.
   std::vector<double> to_vector() const;
 };
 

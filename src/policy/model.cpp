@@ -116,7 +116,7 @@ const char* to_string(ModelType type) {
   return type == ModelType::kLogistic ? "logistic" : "tree";
 }
 
-double Model::evaluate(const std::vector<double>& x) const {
+double Model::evaluate(std::span<const double> x) const {
   if (type == ModelType::kLogistic) {
     double z = bias;
     for (std::size_t d = 0; d < weights.size() && d < x.size(); ++d)

@@ -24,6 +24,7 @@
 // model is rejected at load time, never trusted at decision time.
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,7 @@ struct Model {
   double threshold = 0.5;
 
   /// P(detect is useful | x). `x` must have kFeatureCount entries.
-  double evaluate(const std::vector<double>& x) const;
+  double evaluate(std::span<const double> x) const;
 };
 
 /// Parse + validate a model document; nullopt (with *error filled) on any

@@ -102,7 +102,7 @@ class LearnedPolicy final : public FramePolicy {
       return {true, 1.0};
     if (f.frames_since_detect < static_cast<double>(cfg_.min_track_frames))
       return {false, 0.0};
-    const double p = model_.evaluate(f.to_vector());
+    const double p = model_.evaluate(f.to_array());
     return {p >= model_.threshold, p};
   }
 

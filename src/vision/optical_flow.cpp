@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #if defined(__SSE2__)
@@ -39,14 +40,16 @@ void SadBlock::load(const PaddedImage& a, int ax, int ay, int size) {
   const int chunks = size / 8;
   const int pairs = (size + 1) / 2;
   const int rem = size % 8;
-  packed_.assign(static_cast<std::size_t>(chunks * pairs * 16 + rem * size),
-                 0);
+  // Every byte is written below, so the buffer is resized, not cleared.
+  packed_.resize(static_cast<std::size_t>(chunks * pairs * 16 + rem * size));
   std::uint8_t* out = packed_.data();
   for (int k = 0; k < chunks; ++k) {
     for (int y = 0; y < size; y += 2, out += 16) {
       std::memcpy(out, a.row(ay + y) + ax + 8 * k, 8);
       if (y + 1 < size)
         std::memcpy(out + 8, a.row(ay + y + 1) + ax + 8 * k, 8);
+      else
+        std::memset(out + 8, 0, 8);  // odd size: the kernel reads zeros
     }
   }
   for (int y = 0; y < size; ++y, out += rem)
@@ -54,8 +57,11 @@ void SadBlock::load(const PaddedImage& a, int ax, int ay, int size) {
                 static_cast<std::size_t>(rem));
 }
 
-std::uint32_t SadBlock::sad(const PaddedImage& b, int bx, int by) const {
-  const int size = size_;
+template <int kSize>
+std::uint32_t SadBlock::sad_n(const PaddedImage& b, int bx, int by) const {
+  static_assert(kSize >= 0, "kSize is a block side, or 0 for size_");
+  assert(kSize == 0 || kSize == size_);
+  const int size = kSize != 0 ? kSize : size_;
   const int chunks = size / 8;
   const int rem = size % 8;
   const std::ptrdiff_t stride = b.stride();
@@ -104,6 +110,14 @@ std::uint32_t SadBlock::sad(const PaddedImage& b, int bx, int by) const {
       for (int i = 0; i < rem; ++i) total += abs_diff(ref[i], rb[i]);
   }
   return total;
+}
+
+// Out of line on purpose: inlined into match_level's candidate loop, GCC 12
+// compiled the runtime instance about 3x slower than a call to it (block
+// side 12, BM_OpticalFlowBlock12).
+[[gnu::noinline]] std::uint32_t SadBlock::sad(const PaddedImage& b, int bx,
+                                              int by) const {
+  return sad_n<0>(b, bx, by);
 }
 
 std::uint32_t padded_block_sad(const PaddedImage& a, int ax, int ay,
@@ -170,61 +184,75 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
   const int bs = cfg_.block_size;
   const int radius = cfg_.search_radius;
 
-  auto match_row = [&](std::size_t row_index) {
-    // Rows run on arbitrary pool workers; the packed reference's capacity
-    // persists per thread (zero steady-state allocation, DESIGN.md §11).
-    thread_local SadBlock ref;
-    const int r = static_cast<int>(row_index);
-    for (int c = 0; c < cols; ++c) {
-      const int bx = c * bs;
-      const int by = r * bs;
-      int sx = 0, sy = 0;
-      if (coarse != nullptr) {
-        const int pc = std::min(c / 2, ccols - 1);
-        const int pr = std::min(r / 2, crows - 1);
-        const geom::Vec2& s =
-            coarse[static_cast<std::size_t>(pr) *
-                       static_cast<std::size_t>(ccols) +
-                   static_cast<std::size_t>(pc)];
-        sx = static_cast<int>(std::lround(s.x * 2.0));
-        sy = static_cast<int>(std::lround(s.y * 2.0));
-      }
+  // The row body runs one SAD instance, picked once per level: the
+  // compile-time 8x8 kernel, inlined, at the default block size; the
+  // runtime-size kernel behind sad() otherwise (DESIGN.md §7).
+  auto match_rows = [&](auto block_side) {
+    constexpr int kSize = decltype(block_side)::value;
+    auto match_row = [&](std::size_t row_index) {
+      // Rows run on arbitrary pool workers; the packed reference's capacity
+      // persists per thread (zero steady-state allocation, DESIGN.md §11).
+      thread_local SadBlock ref;
+      const int r = static_cast<int>(row_index);
+      for (int c = 0; c < cols; ++c) {
+        const int bx = c * bs;
+        const int by = r * bs;
+        int sx = 0, sy = 0;
+        if (coarse != nullptr) {
+          const int pc = std::min(c / 2, ccols - 1);
+          const int pr = std::min(r / 2, crows - 1);
+          const geom::Vec2& s =
+              coarse[static_cast<std::size_t>(pr) *
+                         static_cast<std::size_t>(ccols) +
+                     static_cast<std::size_t>(pc)];
+          sx = static_cast<int>(std::lround(s.x * 2.0));
+          sy = static_cast<int>(std::lround(s.y * 2.0));
+        }
 
-      ref.load(pa, bx, by, bs);
-      double best = std::numeric_limits<double>::infinity();
-      int best_dx = sx, best_dy = sy;
-      for (int dy = sy - radius; dy <= sy + radius; ++dy) {
-        for (int dx = sx - radius; dx <= sx + radius; ++dx) {
-          // Slight zero-motion bias resolves flat-texture ties toward rest.
-          const double penalty = 0.1 * (std::abs(dx) + std::abs(dy));
-          // Full integer SAD under the reference's acceptance comparison
-          // (exact in any summation order; DESIGN.md §7).
-          const double cost =
-              static_cast<double>(ref.sad(pb, bx + dx, by + dy)) + penalty;
-          if (cost < best) {
-            best = cost;
-            best_dx = dx;
-            best_dy = dy;
+        ref.load(pa, bx, by, bs);
+        double best = std::numeric_limits<double>::infinity();
+        int best_dx = sx, best_dy = sy;
+        for (int dy = sy - radius; dy <= sy + radius; ++dy) {
+          for (int dx = sx - radius; dx <= sx + radius; ++dx) {
+            // Slight zero-motion bias resolves flat-texture ties toward rest.
+            const double penalty = 0.1 * (std::abs(dx) + std::abs(dy));
+            // Full integer SAD under the reference's acceptance comparison
+            // (exact in any summation order; DESIGN.md §7).
+            const std::uint32_t sad =
+                kSize != 0 ? ref.sad_n<kSize>(pb, bx + dx, by + dy)
+                           : ref.sad(pb, bx + dx, by + dy);
+            const double cost = static_cast<double>(sad) + penalty;
+            if (cost < best) {
+              best = cost;
+              best_dx = dx;
+              best_dy = dy;
+            }
           }
         }
+        const std::size_t idx = static_cast<std::size_t>(r) *
+                                    static_cast<std::size_t>(cols) +
+                                static_cast<std::size_t>(c);
+        est[idx] = {static_cast<double>(best_dx),
+                    static_cast<double>(best_dy)};
+        if (res != nullptr)
+          res[idx] = best / static_cast<double>(bs * bs);
       }
-      const std::size_t idx = static_cast<std::size_t>(r) *
-                                  static_cast<std::size_t>(cols) +
-                              static_cast<std::size_t>(c);
-      est[idx] = {static_cast<double>(best_dx), static_cast<double>(best_dy)};
-      if (res != nullptr)
-        res[idx] = best / static_cast<double>(cfg_.block_size * cfg_.block_size);
+    };
+
+    if (pool != nullptr && rows >= 4) {
+      // Tiles (rows) write disjoint est/res ranges and read only `coarse`,
+      // which is complete before this level starts — deterministic under
+      // any tile-to-worker mapping.
+      pool->run_tiles(static_cast<std::size_t>(rows), match_row);
+    } else {
+      for (int r = 0; r < rows; ++r) match_row(static_cast<std::size_t>(r));
     }
   };
 
-  if (pool != nullptr && rows >= 4) {
-    // Tiles (rows) write disjoint est/res ranges and read only `coarse`,
-    // which is complete before this level starts — deterministic under any
-    // tile-to-worker mapping.
-    pool->run_tiles(static_cast<std::size_t>(rows), match_row);
-  } else {
-    for (int r = 0; r < rows; ++r) match_row(static_cast<std::size_t>(r));
-  }
+  if (bs == 8)
+    match_rows(std::integral_constant<int, 8>{});
+  else
+    match_rows(std::integral_constant<int, 0>{});
 }
 
 void OpticalFlow::compute(FlowScratch& scratch, FlowField& out,

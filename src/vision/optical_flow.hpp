@@ -67,6 +67,14 @@ class SadBlock {
   std::uint32_t sad(const PaddedImage& b, int bx, int by) const;
 
  private:
+  friend class OpticalFlow;
+
+  /// The one kernel body: sad() runs it with kSize == 0 (the loaded size,
+  /// read at run time); OpticalFlow's matcher runs it with kSize == 8, a
+  /// compile-time block side that must equal the loaded size.
+  template <int kSize>
+  std::uint32_t sad_n(const PaddedImage& b, int bx, int by) const;
+
   int size_ = 0;
   std::vector<std::uint8_t> packed_;
 };

@@ -25,7 +25,15 @@ std::uint8_t texture_pixel(std::uint64_t seed, int x, int y) {
 
 }  // namespace
 
-Renderer::Renderer(Config cfg) : cfg_(cfg) {}
+Renderer::Renderer(Config cfg) : cfg_(cfg) {
+  // The same `t % span - a` the noise pass used to compute per pixel; t is
+  // a byte, so 256 entries cover every input exactly.
+  if (cfg_.noise_amplitude > 0) {
+    const int span = 2 * cfg_.noise_amplitude + 1;
+    for (int t = 0; t < 256; ++t)
+      noise_[static_cast<std::size_t>(t)] = t % span - cfg_.noise_amplitude;
+  }
+}
 
 Image Renderer::render(const std::vector<RenderObject>& objects, long frame,
                        std::uint64_t camera_seed) const {
@@ -78,14 +86,11 @@ void Renderer::render_into(const std::vector<RenderObject>& objects,
   if (cfg_.noise_amplitude > 0) {
     const std::uint64_t frame_seed =
         hash64(camera_seed ^ (static_cast<std::uint64_t>(frame) << 20));
-    const int span = 2 * cfg_.noise_amplitude + 1;
     for (int y = 0; y < cfg_.height; ++y) {
       std::uint8_t* row = out.row(y);
       for (int x = 0; x < cfg_.width; ++x) {
-        const int n = static_cast<int>(
-                          texture_pixel(frame_seed, x, y) % span) -
-                      cfg_.noise_amplitude;
-        const int v = static_cast<int>(row[x]) + n;
+        const int v = static_cast<int>(row[x]) +
+                      noise_[texture_pixel(frame_seed, x, y)];
         row[x] = static_cast<std::uint8_t>(std::clamp(v, 0, 255));
       }
     }

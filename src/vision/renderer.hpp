@@ -8,10 +8,13 @@
 //
 // The background depends only on the camera seed, so it is rendered once and
 // cached; per-frame work is a memcpy of the cached background plus the
-// object rectangles and the noise pass. The cache makes render() non-reentrant
+// object rectangles and the noise pass. The noise pass maps each hashed byte
+// through a 256-entry table built once per renderer, so no pixel pays an
+// integer division (DESIGN.md §7). The cache makes render() non-reentrant
 // for a single Renderer instance (one renderer per camera in the pipeline),
 // while distinct instances stay independent.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -33,7 +36,7 @@ class Renderer {
     int noise_amplitude = 3;  ///< uniform per-pixel sensor noise, +/- range
   };
 
-  Renderer() = default;
+  Renderer() : Renderer(Config{}) {}
   explicit Renderer(Config cfg);
 
   /// Render the frame at time index `frame` (the index seeds sensor noise so
@@ -51,6 +54,8 @@ class Renderer {
 
  private:
   Config cfg_{};
+  /// Sensor noise per hashed byte t: t % (2a + 1) - a for amplitude a.
+  std::array<int, 256> noise_{};
   // Lazily built per camera_seed; rebuilt only when the seed changes.
   mutable Image background_;
   mutable std::uint64_t background_seed_ = 0;

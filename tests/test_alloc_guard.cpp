@@ -18,6 +18,7 @@
 
 #include "fleet/fleet.hpp"
 #include "obs/obs.hpp"
+#include "policy/model.hpp"
 #include "rt/runner.hpp"
 #include "runtime/pipeline.hpp"
 #include "sim/scenario.hpp"
@@ -244,6 +245,55 @@ TEST(AllocGuard, PacedRuntimeHeuristicPolicySteadyTicksAllocateNothing) {
   }
   EXPECT_EQ(streak, kRequiredStreak)
       << "paced city runtime under the heuristic policy never reached a "
+         "zero-allocation steady state in "
+      << ticks << " ticks";
+}
+
+// The learned detect-or-track path on the same city shape: a small logistic
+// model scores every camera's features per regular frame, evaluated from a
+// fixed-size feature array rather than a fresh vector.
+TEST(AllocGuard, PacedRuntimeLearnedPolicySteadyTicksAllocateNothing) {
+  policy::Model model;  // detect once frames_since_detect reaches ~2
+  model.mean.assign(policy::kFeatureCount, 0.0);
+  model.scale.assign(policy::kFeatureCount, 1.0);
+  model.weights.assign(policy::kFeatureCount, 0.0);
+  model.weights[0] = 2.0;
+  model.bias = -3.0;
+
+  sim::CityConfig city;
+  city.cameras = 12;
+  runtime::PipelineConfig cfg;
+  cfg.threads = 4;
+  cfg.keep_history = false;
+  cfg.frame_policy.kind = policy::PolicyKind::kLearned;
+  cfg.frame_policy.model_json = policy::dump_model(model);
+  cfg.frame_policy.correlation_gate = true;
+  cfg.transport = net::TransportKind::kLossy;
+  cfg.faults.loss_rate = 0.05;
+  cfg.faults.jitter_ms = 4.0;
+  runtime::RtConfig rtc;
+  rtc.paced = true;
+  rtc.deadline_ms = 100.0;
+  rtc.late_policy = runtime::LatePolicy::kSupersede;
+  rtc.arrival_jitter_ms = 5.0;
+  rt::RtRunner runner(sim::city_scenario_name(city), cfg, rtc);
+
+  constexpr int kRequiredStreak = 9;
+  int streak = 0;
+  int ticks = 0;
+  for (; ticks < kMaxTicks && streak < kRequiredStreak; ++ticks) {
+    g_allocs.store(0, std::memory_order_relaxed);
+    g_armed.store(true, std::memory_order_relaxed);
+    const rt::StepOutcome out = runner.step();
+    g_armed.store(false, std::memory_order_relaxed);
+    if (out.key_frame_ran) continue;  // key frames are exempt by design
+    if (g_allocs.load(std::memory_order_relaxed) == 0)
+      ++streak;
+    else
+      streak = 0;
+  }
+  EXPECT_EQ(streak, kRequiredStreak)
+      << "paced city runtime under the learned policy never reached a "
          "zero-allocation steady state in "
       << ticks << " ticks";
 }

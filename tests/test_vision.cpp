@@ -116,6 +116,66 @@ FlowField reference_flow(const OpticalFlow::Config& cfg, const Image& prev,
   return field;
 }
 
+std::uint64_t reference_hash64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+std::uint8_t reference_texel(std::uint64_t seed, int x, int y) {
+  return static_cast<std::uint8_t>(
+      reference_hash64(seed ^ (static_cast<std::uint64_t>(
+                                   static_cast<std::uint32_t>(x))
+                               << 32) ^
+                       static_cast<std::uint32_t>(y)) &
+      0xFF);
+}
+
+/// The renderer before its noise table: background, object texels and a
+/// per-pixel `% span` sensor-noise pass, with no caching.
+Image reference_render(const Renderer::Config& cfg,
+                       const std::vector<RenderObject>& objects, long frame,
+                       std::uint64_t camera_seed) {
+  Image out(cfg.width, cfg.height);
+  for (int y = 0; y < cfg.height; ++y)
+    for (int x = 0; x < cfg.width; ++x)
+      out.set(x, y, static_cast<std::uint8_t>(
+                        96 + reference_texel(camera_seed, x / 4, y / 4) % 48));
+  for (const RenderObject& obj : objects) {
+    const int x0 = std::max(0, static_cast<int>(std::floor(obj.box.x)));
+    const int y0 = std::max(0, static_cast<int>(std::floor(obj.box.y)));
+    const int x1 =
+        std::min(cfg.width, static_cast<int>(std::ceil(obj.box.x2())));
+    const int y1 =
+        std::min(cfg.height, static_cast<int>(std::ceil(obj.box.y2())));
+    const int ox = static_cast<int>(std::floor(obj.box.x));
+    const int oy = static_cast<int>(std::floor(obj.box.y));
+    const std::uint64_t obj_seed = reference_hash64(obj.id + 1);
+    for (int y = y0; y < y1; ++y)
+      for (int x = x0; x < x1; ++x)
+        out.set(x, y, static_cast<std::uint8_t>(
+                          160 + reference_texel(obj_seed, (x - ox) / 2,
+                                                (y - oy) / 2) %
+                                    80));
+  }
+  if (cfg.noise_amplitude > 0) {
+    const std::uint64_t frame_seed = reference_hash64(
+        camera_seed ^ (static_cast<std::uint64_t>(frame) << 20));
+    const int span = 2 * cfg.noise_amplitude + 1;
+    for (int y = 0; y < cfg.height; ++y)
+      for (int x = 0; x < cfg.width; ++x) {
+        const int n = static_cast<int>(reference_texel(frame_seed, x, y) %
+                                       span) -
+                      cfg.noise_amplitude;
+        out.set(x, y, static_cast<std::uint8_t>(
+                          std::clamp(static_cast<int>(out.at(x, y)) + n, 0,
+                                     255)));
+      }
+  }
+  return out;
+}
+
 Image random_image(int w, int h, util::Rng& rng) {
   Image img(w, h);
   for (int y = 0; y < h; ++y)
@@ -431,6 +491,40 @@ TEST(PaddedSad, MatchesReferenceSad) {
     ASSERT_EQ(static_cast<double>(fast), gold)
         << "size=" << size << " a=(" << ax << "," << ay << ") b=(" << bx
         << "," << by << ")";
+  }
+}
+
+TEST(RendererGolden, ByteIdenticalToReferenceRender) {
+  // Amplitudes cover no noise, the default, spans below and above one byte
+  // (127 -> 255, 200 -> 401) and every clamp direction. One renderer per
+  // amplitude renders several cameras in turn, so the cached background is
+  // rebuilt on each seed change and reused across frames.
+  const std::vector<std::vector<RenderObject>> scenes = {
+      {},
+      {{42, {30.5, 20.25, 24, 16}}},
+      {{7, {-6, -4, 30, 20}}, {8, {140, 80, 40, 30}}, {9, {60, 40, 12, 9}}}};
+  for (const int amplitude : {0, 1, 3, 8, 127, 200}) {
+    Renderer::Config cfg;
+    cfg.width = 160;
+    cfg.height = 90;
+    cfg.noise_amplitude = amplitude;
+    const Renderer r(cfg);
+    for (const std::uint64_t camera_seed : {1ULL, 9ULL, 0xDEADBEEFULL}) {
+      for (const long frame : {0L, 1L, 37L, 1000003L}) {
+        for (const std::vector<RenderObject>& scene : scenes) {
+          const Image got = r.render(scene, frame, camera_seed);
+          const Image want = reference_render(cfg, scene, frame, camera_seed);
+          ASSERT_EQ(got.width(), want.width());
+          ASSERT_EQ(got.height(), want.height());
+          for (int y = 0; y < want.height(); ++y)
+            for (int x = 0; x < want.width(); ++x)
+              ASSERT_EQ(got.at(x, y), want.at(x, y))
+                  << "amplitude=" << amplitude << " seed=" << camera_seed
+                  << " frame=" << frame << " objects=" << scene.size()
+                  << " at (" << x << "," << y << ")";
+        }
+      }
+    }
   }
 }
 
