@@ -155,12 +155,12 @@ void flow_pair(benchmark::State& state, int block_size) {
   for (auto _ : state) benchmark::DoNotOptimize(flow.compute(a, b));
 }
 
-// The default block side runs the compile-time 8x8 SAD instance.
+// The default block side runs the paired 8x8 matcher.
 void BM_OpticalFlow(benchmark::State& state) { flow_pair(state, 8); }
 BENCHMARK(BM_OpticalFlow)->Arg(160)->Arg(320)->Arg(640)
     ->Unit(benchmark::kMillisecond);
 
-// Any other block side runs the runtime-size SAD instance.
+// Any other block side runs the runtime-size SadBlock kernel.
 void BM_OpticalFlowBlock12(benchmark::State& state) { flow_pair(state, 12); }
 BENCHMARK(BM_OpticalFlowBlock12)->Arg(320)->Unit(benchmark::kMillisecond);
 

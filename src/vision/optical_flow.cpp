@@ -1,11 +1,11 @@
 #include "vision/optical_flow.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <type_traits>
 #include <utility>
 
 #if defined(__SSE2__)
@@ -33,6 +33,58 @@ std::pair<int, int> covered_blocks(double lo, double hi, int bs, int n) {
           static_cast<int>(std::max(last, -1.0))};
 }
 
+/// The reference rows of two horizontally adjacent 8x8 blocks, 16 bytes per
+/// row: the left block in bytes 0-7, the right block in bytes 8-15. One
+/// 16-byte SAD per row scores both blocks against a candidate, because
+/// `_mm_sad_epu8` sums each 8-byte half into its own 64-bit lane.
+class PairRef {
+ public:
+  /// Take the 16x8 window of `a` at (x, y).
+  PairRef(const PaddedImage& a, int x, int y) {
+    for (int i = 0; i < 8; ++i) {
+      const std::uint8_t* src = a.row(y + i) + x;
+#if defined(__SSE2__)
+      rows_[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
+#else
+      std::memcpy(rows_[i], src, 16);
+#endif
+    }
+  }
+
+  /// Integer SADs of the left and right blocks against the 16x8 window of
+  /// `b` at (x, y).
+  std::array<std::uint32_t, 2> sad(const PaddedImage& b, int x, int y) const {
+    const std::ptrdiff_t stride = b.stride();
+    const std::uint8_t* rb = b.row(y) + x;
+#if defined(__SSE2__)
+    __m128i acc = _mm_setzero_si128();
+    for (int i = 0; i < 8; ++i, rb += stride)
+      acc = _mm_add_epi32(
+          acc, _mm_sad_epu8(rows_[i], _mm_loadu_si128(
+                                          reinterpret_cast<const __m128i*>(rb))));
+    // Each lane holds at most 8 * 8 * 255 = 16320, so 16 bits suffice.
+    return {static_cast<std::uint32_t>(_mm_cvtsi128_si32(acc)),
+            static_cast<std::uint32_t>(_mm_extract_epi16(acc, 4))};
+#else
+    std::uint32_t left = 0, right = 0;
+    for (int i = 0; i < 8; ++i, rb += stride) {
+      for (int j = 0; j < 8; ++j) {
+        left += abs_diff(rows_[i][j], rb[j]);
+        right += abs_diff(rows_[i][8 + j], rb[8 + j]);
+      }
+    }
+    return {left, right};
+#endif
+  }
+
+ private:
+#if defined(__SSE2__)
+  __m128i rows_[8];
+#else
+  std::uint8_t rows_[8][16];
+#endif
+};
+
 }  // namespace
 
 void SadBlock::load(const PaddedImage& a, int ax, int ay, int size) {
@@ -57,11 +109,12 @@ void SadBlock::load(const PaddedImage& a, int ax, int ay, int size) {
                 static_cast<std::size_t>(rem));
 }
 
-template <int kSize>
-std::uint32_t SadBlock::sad_n(const PaddedImage& b, int bx, int by) const {
-  static_assert(kSize >= 0, "kSize is a block side, or 0 for size_");
-  assert(kSize == 0 || kSize == size_);
-  const int size = kSize != 0 ? kSize : size_;
+// Out of line on purpose: inlined into match_level's candidate loop, GCC 12
+// compiled this runtime-size loop about 3x slower than a call to it (block
+// side 12, BM_OpticalFlowBlock12).
+[[gnu::noinline]] std::uint32_t SadBlock::sad(const PaddedImage& b, int bx,
+                                              int by) const {
+  const int size = size_;
   const int chunks = size / 8;
   const int rem = size % 8;
   const std::ptrdiff_t stride = b.stride();
@@ -112,14 +165,6 @@ std::uint32_t SadBlock::sad_n(const PaddedImage& b, int bx, int by) const {
   return total;
 }
 
-// Out of line on purpose: inlined into match_level's candidate loop, GCC 12
-// compiled the runtime instance about 3x slower than a call to it (block
-// side 12, BM_OpticalFlowBlock12).
-[[gnu::noinline]] std::uint32_t SadBlock::sad(const PaddedImage& b, int bx,
-                                              int by) const {
-  return sad_n<0>(b, bx, by);
-}
-
 std::uint32_t padded_block_sad(const PaddedImage& a, int ax, int ay,
                                const PaddedImage& b, int bx, int by,
                                int size) {
@@ -161,11 +206,15 @@ int OpticalFlow::build_cur_pyramid(FlowScratch& s) const {
   }
   // Pad covers the worst-case block read at each level: the seed chain bounds
   // the displacement at level l by r * (2^(levels-l) - 1), and the block
-  // itself extends block_size pixels past its origin.
+  // itself extends block_size pixels past its origin. The 8x8 pair matcher
+  // reads two blocks from each even block's origin; past the last block
+  // that stays inside one block side of the image edge, unless the level is
+  // narrower than one block (DESIGN.md §7), which the last term covers.
   for (int l = 0; l < levels; ++l) {
-    const int pad =
-        cfg_.search_radius * ((1 << (levels - l)) - 1) + cfg_.block_size;
     const Image& img = (l == 0) ? base : s.cur_lv_[static_cast<std::size_t>(l - 1)];
+    const int pad = cfg_.search_radius * ((1 << (levels - l)) - 1) +
+                    cfg_.block_size +
+                    std::max(0, cfg_.block_size - img.width());
     s.cur_pad_[static_cast<std::size_t>(l)].assign(img, pad);
   }
   s.built_ = true;
@@ -184,75 +233,113 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
   const int bs = cfg_.block_size;
   const int radius = cfg_.search_radius;
 
-  // The row body runs one SAD instance, picked once per level: the
-  // compile-time 8x8 kernel, inlined, at the default block size; the
-  // runtime-size kernel behind sad() otherwise (DESIGN.md §7).
-  auto match_rows = [&](auto block_side) {
-    constexpr int kSize = decltype(block_side)::value;
-    auto match_row = [&](std::size_t row_index) {
-      // Rows run on arbitrary pool workers; the packed reference's capacity
-      // persists per thread (zero steady-state allocation, DESIGN.md §11).
-      thread_local SadBlock ref;
-      const int r = static_cast<int>(row_index);
-      for (int c = 0; c < cols; ++c) {
-        const int bx = c * bs;
-        const int by = r * bs;
-        int sx = 0, sy = 0;
-        if (coarse != nullptr) {
-          const int pc = std::min(c / 2, ccols - 1);
-          const int pr = std::min(r / 2, crows - 1);
-          const geom::Vec2& s =
-              coarse[static_cast<std::size_t>(pr) *
-                         static_cast<std::size_t>(ccols) +
-                     static_cast<std::size_t>(pc)];
-          sx = static_cast<int>(std::lround(s.x * 2.0));
-          sy = static_cast<int>(std::lround(s.y * 2.0));
-        }
+  // Block c of row r searches around coarse cell (c / 2, r / 2), clamped to
+  // the coarse grid, so columns 2k and 2k + 1 share their seed.
+  auto seed_of = [&](int c, int r) -> std::pair<int, int> {
+    if (coarse == nullptr) return {0, 0};
+    const int pc = std::min(c / 2, ccols - 1);
+    const int pr = std::min(r / 2, crows - 1);
+    const geom::Vec2& s = coarse[static_cast<std::size_t>(pr) *
+                                     static_cast<std::size_t>(ccols) +
+                                 static_cast<std::size_t>(pc)];
+    return {static_cast<int>(std::lround(s.x * 2.0)),
+            static_cast<int>(std::lround(s.y * 2.0))};
+  };
+  auto store = [&](int c, int r, double best, int best_dx, int best_dy) {
+    const std::size_t idx =
+        static_cast<std::size_t>(r) * static_cast<std::size_t>(cols) +
+        static_cast<std::size_t>(c);
+    est[idx] = {static_cast<double>(best_dx), static_cast<double>(best_dy)};
+    if (res != nullptr) res[idx] = best / static_cast<double>(bs * bs);
+  };
+  // Every candidate faces the reference's acceptance test on its full
+  // integer SAD, in dy-outer, dx-inner order (exact in any summation order;
+  // DESIGN.md §7). A slight zero-motion bias resolves flat-texture ties
+  // toward rest.
+  auto penalty_of = [](int dx, int dy) {
+    return 0.1 * (std::abs(dx) + std::abs(dy));
+  };
 
-        ref.load(pa, bx, by, bs);
-        double best = std::numeric_limits<double>::infinity();
-        int best_dx = sx, best_dy = sy;
-        for (int dy = sy - radius; dy <= sy + radius; ++dy) {
-          for (int dx = sx - radius; dx <= sx + radius; ++dx) {
-            // Slight zero-motion bias resolves flat-texture ties toward rest.
-            const double penalty = 0.1 * (std::abs(dx) + std::abs(dy));
-            // Full integer SAD under the reference's acceptance comparison
-            // (exact in any summation order; DESIGN.md §7).
-            const std::uint32_t sad =
-                kSize != 0 ? ref.sad_n<kSize>(pb, bx + dx, by + dy)
-                           : ref.sad(pb, bx + dx, by + dy);
-            const double cost = static_cast<double>(sad) + penalty;
-            if (cost < best) {
-              best = cost;
-              best_dx = dx;
-              best_dy = dy;
+  // Default block size: the blocks of each column pair search the same
+  // window, so one 16-byte SAD per row scores both. An odd last column runs
+  // with a phantom right partner whose result is dropped.
+  auto match_row_pairs = [&](int r) {
+    const int by = r * 8;
+    for (int c = 0; c < cols; c += 2) {
+      const int bx = c * 8;
+      const auto [sx, sy] = seed_of(c, r);
+      // The pad bound (build_cur_pyramid): the 16-byte rows stay inside it.
+      assert(bx + sx - radius >= -pb.pad() &&
+             bx + sx + radius + 16 <= pb.width() + pb.pad() &&
+             bx + 16 <= pa.width() + pa.pad());
+      const PairRef ref(pa, bx, by);
+      double best[2] = {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::infinity()};
+      int best_dx[2] = {sx, sx}, best_dy[2] = {sy, sy};
+      for (int dy = sy - radius; dy <= sy + radius; ++dy) {
+        for (int dx = sx - radius; dx <= sx + radius; ++dx) {
+          const double penalty = penalty_of(dx, dy);
+          const std::array<std::uint32_t, 2> sad =
+              ref.sad(pb, bx + dx, by + dy);
+          for (int j = 0; j < 2; ++j) {
+            const double cost = static_cast<double>(sad[j]) + penalty;
+            if (cost < best[j]) {
+              best[j] = cost;
+              best_dx[j] = dx;
+              best_dy[j] = dy;
             }
           }
         }
-        const std::size_t idx = static_cast<std::size_t>(r) *
-                                    static_cast<std::size_t>(cols) +
-                                static_cast<std::size_t>(c);
-        est[idx] = {static_cast<double>(best_dx),
-                    static_cast<double>(best_dy)};
-        if (res != nullptr)
-          res[idx] = best / static_cast<double>(bs * bs);
       }
-    };
-
-    if (pool != nullptr && rows >= 4) {
-      // Tiles (rows) write disjoint est/res ranges and read only `coarse`,
-      // which is complete before this level starts — deterministic under
-      // any tile-to-worker mapping.
-      pool->run_tiles(static_cast<std::size_t>(rows), match_row);
-    } else {
-      for (int r = 0; r < rows; ++r) match_row(static_cast<std::size_t>(r));
+      store(c, r, best[0], best_dx[0], best_dy[0]);
+      if (c + 1 < cols) store(c + 1, r, best[1], best_dx[1], best_dy[1]);
     }
   };
 
-  if (bs == 8)
-    match_rows(std::integral_constant<int, 8>{});
-  else
-    match_rows(std::integral_constant<int, 0>{});
+  // Any other block size: the runtime-size kernel behind SadBlock::sad().
+  auto match_row_blocks = [&](int r) {
+    // Rows run on arbitrary pool workers; the packed reference's capacity
+    // persists per thread (zero steady-state allocation, DESIGN.md §11).
+    thread_local SadBlock ref;
+    const int by = r * bs;
+    for (int c = 0; c < cols; ++c) {
+      const int bx = c * bs;
+      const auto [sx, sy] = seed_of(c, r);
+      ref.load(pa, bx, by, bs);
+      double best = std::numeric_limits<double>::infinity();
+      int best_dx = sx, best_dy = sy;
+      for (int dy = sy - radius; dy <= sy + radius; ++dy) {
+        for (int dx = sx - radius; dx <= sx + radius; ++dx) {
+          const double cost =
+              static_cast<double>(ref.sad(pb, bx + dx, by + dy)) +
+              penalty_of(dx, dy);
+          if (cost < best) {
+            best = cost;
+            best_dx = dx;
+            best_dy = dy;
+          }
+        }
+      }
+      store(c, r, best, best_dx, best_dy);
+    }
+  };
+
+  auto match_row = [&](std::size_t row_index) {
+    const int r = static_cast<int>(row_index);
+    if (bs == 8)
+      match_row_pairs(r);
+    else
+      match_row_blocks(r);
+  };
+
+  if (pool != nullptr && rows >= 4) {
+    // Tiles (rows) write disjoint est/res ranges and read only `coarse`,
+    // which is complete before this level starts — deterministic under any
+    // tile-to-worker mapping.
+    pool->run_tiles(static_cast<std::size_t>(rows), match_row);
+  } else {
+    for (int r = 0; r < rows; ++r) match_row(static_cast<std::size_t>(r));
+  }
 }
 
 void OpticalFlow::compute(FlowScratch& scratch, FlowField& out,

@@ -7,10 +7,12 @@
 // "new regions" — clusters of moving pixels not explained by any tracked
 // object — where new objects may have appeared (paper Sec. II-B).
 //
-// Performance engineering (DESIGN.md §7): matching runs one SIMD integer SAD
-// kernel (SadBlock; SSE2 on x86-64, scalar elsewhere) over edge-replicated
-// PaddedImage rows, with each reference block packed once and compared
-// against every candidate; per-camera FlowScratch state carries the previous
+// Performance engineering (DESIGN.md §7): matching runs SIMD integer SAD
+// kernels (SSE2 on x86-64, scalar elsewhere) over edge-replicated
+// PaddedImage rows. At the default 8x8 block size the matcher scores each
+// pair of horizontally adjacent blocks together, one 16-byte SAD per row;
+// other sizes pack each reference block once (SadBlock) and compare it
+// against every candidate. Per-camera FlowScratch state carries the previous
 // frame's pyramid across frames so each regular frame builds exactly one
 // pyramid and reallocates nothing. Outputs are bit-identical to the
 // straight-line reference implementation (kept in tests/test_vision.cpp as
@@ -47,7 +49,8 @@ struct FlowField {
   }
 };
 
-/// The block-matching SAD kernel. load() packs a size x size reference
+/// The runtime-size block-matching SAD kernel (block sides other than the
+/// matcher's paired 8x8 path). load() packs a size x size reference
 /// block once; sad() then compares it against any candidate block. The
 /// packed layout is 8-column chunks stored as 16-byte row pairs (row 2p in
 /// the low half, row 2p+1 in the high half, zeros past the last row), which
@@ -67,14 +70,6 @@ class SadBlock {
   std::uint32_t sad(const PaddedImage& b, int bx, int by) const;
 
  private:
-  friend class OpticalFlow;
-
-  /// The one kernel body: sad() runs it with kSize == 0 (the loaded size,
-  /// read at run time); OpticalFlow's matcher runs it with kSize == 8, a
-  /// compile-time block side that must equal the loaded size.
-  template <int kSize>
-  std::uint32_t sad_n(const PaddedImage& b, int bx, int by) const;
-
   int size_ = 0;
   std::vector<std::uint8_t> packed_;
 };
