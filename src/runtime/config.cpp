@@ -262,10 +262,6 @@ const Table<PipelineConfig> kPipeline{
         field<&PipelineConfig::verbose>("verbose", {}, "verbose",
                                         "per-frame progress logging"),
         field<&PipelineConfig::threads>("threads", at_least(0)),
-        field<&PipelineConfig::tile_flow>(
-            "tile_flow", {}, "no-tile-flow",
-            "disable intra-frame optical-flow row tiling (A/B latency "
-            "studies; output-identical)"),
         field<&PipelineConfig::tight_masks>("tight_masks"),
         field<&PipelineConfig::paired_rng>(
             "paired_rng", {}, "paired-rng",
@@ -749,7 +745,7 @@ bool set_from_text(const Field<S>& f, S& target, const std::string& text,
                    const std::string& what, std::string* error) {
   Json v;
   if (f.info.kind == FieldKind::kBool) {
-    v = Json(std::string(f.info.flag ? f.info.flag : "").rfind("no-", 0) != 0);
+    v = Json(true);
   } else if (f.info.kind == FieldKind::kInt ||
              f.info.kind == FieldKind::kNumber) {
     const auto number = util::parse_number(text);

@@ -275,8 +275,7 @@ struct FieldInfo {
   FieldRange range;     ///< kInt / kNumber only
   const char* choices;  ///< kChoice: accepted names, '|'-separated (help)
   const char* flag;     ///< CLI flag without "--"; nullptr = file only.
-                        ///< A kBool flag is a switch; a "no-" prefix
-                        ///< stores false.
+                        ///< A kBool flag is a switch that stores true.
   const char* help;
   const char* metavar;  ///< nullptr: derived from the kind
 };

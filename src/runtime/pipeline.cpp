@@ -1,10 +1,8 @@
 #include "runtime/pipeline.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <fstream>
-#include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -67,6 +65,14 @@ void nms_into(std::vector<detect::Detection>& dets, double iou_threshold,
     }
     if (!suppressed) kept.push_back(d);
   }
+}
+
+/// Mean detection confidence; 1.0 when nothing was detected.
+double mean_score(const std::vector<detect::Detection>& dets) {
+  if (dets.empty()) return 1.0;
+  double acc = 0.0;
+  for (const detect::Detection& d : dets) acc += d.score;
+  return acc / static_cast<double>(dets.size());
 }
 
 struct CameraNode {
@@ -146,15 +152,20 @@ struct CameraNode {
                          scratch.cur_frame());
   }
 
-  /// Drop tracks that have left the frame (the clamped box lost most of its
-  /// area); fills `dropped` (cleared first) with the ids dropped.
+  /// Has `box` left this camera's view (degenerate, or its clamped part
+  /// lost most of its area)?
+  bool left_view(const geom::BBox& box) const {
+    return box.area() <= 0.0 ||
+           box.clamped(frame_w, frame_h).area() < 0.3 * box.area();
+  }
+
+  /// Drop tracks that have left the view; fills `dropped` (cleared first)
+  /// with the ids dropped.
   void cull_departed_into(std::vector<long>& dropped) {
     dropped.clear();
     auto& ts = tracker.tracks();
     for (auto it = ts.begin(); it != ts.end();) {
-      const geom::BBox clipped = it->box.clamped(frame_w, frame_h);
-      if (it->box.area() <= 0.0 ||
-          clipped.area() < 0.3 * it->box.area()) {
+      if (left_view(it->box)) {
         dropped.push_back(it->id);
         it = ts.erase(it);
       } else {
@@ -205,7 +216,7 @@ struct Pipeline::Impl {
     }
     active.assign(m, 1);
     gpu_work.resize(m);
-    tile_flow = cfg.tile_flow && m < pool.thread_count();
+    tile_flow = m < pool.thread_count();
 
     // Detect-or-track layer. The fixed kind is fast-pathed: no policy
     // object, no feature bookkeeping, no extra obs signals — the pipeline
@@ -339,16 +350,32 @@ struct Pipeline::Impl {
 
   // ---- frame steps -------------------------------------------------------
 
-  /// Advance one evaluation frame (body of Pipeline::run_frame). Returns a
-  /// reference to stats_, overwritten by the next call.
+  /// Advance one evaluation frame (body of Pipeline::run_frame_ref). Returns
+  /// a reference to stats_, overwritten by the next call.
   const FrameStats& run_frame();
 
-  /// tight_masks degraded mode: a camera may only adopt a NEW object when
-  /// the cell under it has solo coverage (no other camera could pick it up).
-  /// Always true outside degraded mode or when no cell cache exists
-  /// (policies without association models are unaffected).
-  bool adopt_allowed(int cam, const geom::BBox& box) const {
-    if (!cfg.tight_masks || cell_cache.empty()) return true;
+  /// Fig. 8's new-object rule: may camera `cam` adopt a new object at `box`,
+  /// and so spend GPU time searching for one there? BALB asks the
+  /// distributed stage's priority masks and SP its static partition;
+  /// BALB-Ind adopts everything it sees, and the policies without a
+  /// distributed stage adopt nothing. In tight_masks degraded mode a camera
+  /// adopts only where the cell under the box has solo coverage (no other
+  /// camera could pick the object up); without a cell cache that limit does
+  /// not apply.
+  bool owns_new(int cam, const geom::BBox& box) const {
+    bool owns = false;
+    switch (cfg.policy) {
+      case Policy::kBalbInd: owns = true; break;
+      case Policy::kBalb:
+        owns = distributed.valid() && distributed.should_adopt_new(cam, box);
+        break;
+      case Policy::kStaticPartition:
+        owns = sp_masks_ready && sp_masks.owns(cam, box.center());
+        break;
+      case Policy::kBalbCen:
+      case Policy::kFull: break;
+    }
+    if (!owns || !cfg.tight_masks || cell_cache.empty()) return owns;
     const CellCache& cache = cell_cache[static_cast<std::size_t>(cam)];
     return cache.coverage[cache.grid.flat(cache.grid.cell_at(box.center()))]
                .size() <= 1;
@@ -379,196 +406,55 @@ struct Pipeline::Impl {
     }
   }
 
-  void full_frame_step(const sim::MultiFrame& mf, FrameStats& stats,
+  /// Full-frame inspection on every online camera (key frames, and every
+  /// frame under Full); each camera's detections land in full_dets_.
+  /// Offline cameras contribute nothing. A correlation-gated cold camera
+  /// skips the inspection (and so its uplink) but still renders on a key
+  /// frame, so flow has a reference when it heats up.
+  void full_inspection(const sim::MultiFrame& mf, FrameStats& stats,
                        std::vector<std::vector<geom::BBox>>& reported) {
+    full_dets_.resize(cameras.size());
     for (CameraNode& cam : cameras) {
-      if (!active[static_cast<std::size_t>(cam.index)] ||
-          gate_cold(static_cast<std::size_t>(cam.index))) {
+      const auto i = static_cast<std::size_t>(cam.index);
+      full_dets_[i].clear();
+      if (!active[i] || gate_cold(i)) {
         stats.camera_infer_ms.push_back(0.0);
         continue;
       }
-      const auto dets = detector.detect_full(
-          mf.per_camera[static_cast<std::size_t>(cam.index)], cam.frame_w,
-          cam.frame_h, cam.rng);
+      full_dets_[i] = detector.detect_full(mf.per_camera[i], cam.frame_w,
+                                           cam.frame_h, cam.rng);
       stats.camera_infer_ms.push_back(cam.device.full_frame_ms());
-      gpu_work[static_cast<std::size_t>(cam.index)].full_frame = true;
-      for (const detect::Detection& d : dets)
-        reported[static_cast<std::size_t>(cam.index)].push_back(d.box);
+      gpu_work[i].full_frame = true;
+      for (const detect::Detection& d : full_dets_[i])
+        reported[i].push_back(d.box);
     }
   }
 
+  /// Key frame (Fig. 5): full inspection, then central BALB over the
+  /// uplinked detections — or, under BALB-Ind, each camera restarting from
+  /// its own — and a render that becomes the next frame's flow reference.
   void key_frame_step(const sim::MultiFrame& mf, long eval_frame,
                       FrameStats& stats,
                       std::vector<std::vector<geom::BBox>>& reported) {
     MVS_SPAN("pipeline.key_frame");
-    const std::size_t m = cameras.size();
-    const bool central_stage = cfg.policy != Policy::kBalbInd;
-
-    // Full inspection on every online camera; offline cameras contribute
-    // nothing this horizon.
-    std::vector<std::vector<detect::Detection>> dets(m);
-    for (CameraNode& cam : cameras) {
-      const auto i = static_cast<std::size_t>(cam.index);
-      if (!active[i] || gate_cold(i)) {
-        // Offline — or correlation-gated cold, which skips the full
-        // inspection (and its uplink) but still renders below so flow has a
-        // reference when the camera heats up.
-        stats.camera_infer_ms.push_back(0.0);
-        continue;
-      }
-      dets[i] = detector.detect_full(mf.per_camera[i], cam.frame_w,
-                                     cam.frame_h, cam.rng);
-      stats.camera_infer_ms.push_back(cam.device.full_frame_ms());
-      gpu_work[i].full_frame = true;
-      for (const detect::Detection& d : dets[i]) reported[i].push_back(d.box);
-      if (central_stage) {
-        net::DetectionListMsg msg{static_cast<std::uint32_t>(cam.index),
-                                  static_cast<std::uint64_t>(mf.frame_index),
-                                  dets[i]};
-        transport->send_uplink(eval_frame, cam.index, msg.encode().size());
-      }
-    }
-
-    if (!central_stage) {
-      for (CameraNode& cam : cameras)
-        if (active[static_cast<std::size_t>(cam.index)])
-          cam.tracker.reset_from_detections(
-              dets[static_cast<std::size_t>(cam.index)]);
+    full_inspection(mf, stats, reported);
+    if (cfg.policy == Policy::kBalbInd) {
+      for (std::size_t i = 0; i < cameras.size(); ++i)
+        if (active[i]) cameras[i].tracker.reset_from_detections(full_dets_[i]);
     } else {
-      MVS_SPAN("pipeline.central");
-      // Uplink phase: the central stage only sees the detection lists the
-      // transport actually delivered — a lost uplink drops that camera out
-      // of this horizon's plan and BALB re-plans over the survivors.
-      const net::UplinkReport uplinks = transport->run_uplinks(eval_frame);
-      std::vector<std::vector<detect::Detection>> sched_dets(m);
-      for (std::size_t i = 0; i < m; ++i)
-        if (active[i] && i < uplinks.delivered.size() && uplinks.delivered[i])
-          sched_dets[i] = dets[i];
-
-      // Central stage: association + scheduling + masks.
-      util::Stopwatch central_sw;
-      const std::vector<assoc::AssociatedObject> objects =
-          associator->associate(sched_dets);
-
-      core::MvsProblem problem;
-      problem.cameras = devices();
-      for (std::size_t j = 0; j < objects.size(); ++j) {
-        core::ObjectSpec spec;
-        spec.key = j;
-        spec.size_class.assign(m, 0);
-        for (std::size_t i = 0; i < m; ++i) {
-          if (objects[j].det_index[i] < 0) continue;
-          spec.coverage.push_back(static_cast<int>(i));
-          spec.size_class[i] = sizes.quantize(objects[j].boxes[i]);
-        }
-        problem.objects.push_back(std::move(spec));
+      for (std::size_t i = 0; i < cameras.size(); ++i) {
+        if (!active[i] || gate_cold(i)) continue;
+        net::DetectionListMsg msg{static_cast<std::uint32_t>(i),
+                                  static_cast<std::uint64_t>(mf.frame_index),
+                                  full_dets_[i]};
+        transport->send_uplink(eval_frame, static_cast<int>(i),
+                               msg.encode().size());
       }
-
-      core::Assignment assignment;
-      if (cfg.policy == Policy::kStaticPartition) {
-        const core::RegionKeyFn region_key = cached_region_key();
-        std::vector<int> owner(problem.objects.size(), 0);
-        for (std::size_t j = 0; j < problem.objects.size(); ++j) {
-          const int canonical = problem.objects[j].coverage.front();
-          owner[j] = core::power_weighted_owner(
-              problem.objects[j].coverage, problem.cameras,
-              region_key(canonical,
-                         objects[j].boxes[static_cast<std::size_t>(canonical)]
-                             .center()));
-        }
-        assignment = core::static_partition_assignment(problem, owner);
-        if (!sp_masks_ready) {
-          sp_masks = core::build_power_weighted_masks(
-              frame_dims(), cfg.mask_cell_px, cached_coverage(),
-              cached_region_key(), problem.cameras);
-          sp_masks_ready = true;
-        }
-      } else {
-        assignment = core::central_balb(problem);
-        if (cfg.policy == Policy::kBalb) {
-          // Offline cameras are cut from the priority order, so their mask
-          // cells fall to surviving cameras and takeover elections never
-          // pick a dead device.
-          std::vector<int> priority;
-          for (int c : assignment.priority_order())
-            if (active[static_cast<std::size_t>(c)]) priority.push_back(c);
-          distributed = core::DistributedStage(
-              core::build_priority_masks(frame_dims(), cfg.mask_cell_px,
-                                         cached_coverage(), priority),
-              priority);
-        }
-      }
-      stats.central_ms = central_sw.elapsed_ms();
-      if (trace) {
-        trace->record({mf.frame_index, -1, TraceEventType::kKeyFrame, 0,
-                       assignment.system_latency()});
-        for (std::size_t i = 0; i < m; ++i)
-          for (std::size_t j = 0; j < problem.objects.size(); ++j)
-            if (assignment.x[i][j])
-              trace->record({mf.frame_index, static_cast<int>(i),
-                             TraceEventType::kAssignment, j, 0.0});
-      }
-
-      // Downlink: per-camera assignment slice to every online camera.
-      for (std::size_t i = 0; i < m; ++i) {
-        if (!active[i]) continue;
-        net::AssignmentMsg msg;
-        msg.camera_id = static_cast<std::uint32_t>(i);
-        msg.frame_index = static_cast<std::uint64_t>(mf.frame_index);
-        for (std::size_t j = 0; j < problem.objects.size(); ++j)
-          if (assignment.x[i][j]) msg.assigned_keys.push_back(j);
-        transport->send_downlink(eval_frame, static_cast<int>(i),
-                                 msg.encode().size());
-      }
-      const net::CycleReport report = transport->finish_cycle(eval_frame);
-      stats.comm_ms = report.comm_ms;
-      stats.queue_ms = report.queue_ms;
-      stats.retries = report.retries;
-      stats.dropped_msgs = report.dropped_msgs;
-      if (trace) {
-        for (const net::MessageEvent& e : report.events)
-          trace->record({mf.frame_index, e.camera,
-                         e.kind == net::MessageEvent::Kind::kRetry
-                             ? TraceEventType::kNetRetry
-                             : TraceEventType::kNetDrop,
-                         static_cast<std::uint64_t>(e.uplink ? 1 : 0),
-                         e.time_ms});
-      }
-
-      // Cameras adopt their slices; unassigned-but-covered objects become
-      // ghosts (BALB distributed stage bookkeeping). A camera whose uplink
-      // or downlink was lost never saw the new plan: it keeps its previous
-      // tracks and ghosts for another horizon instead of resetting to an
-      // empty (and wrong) slice.
-      for (CameraNode& cam : cameras) {
-        const auto i = static_cast<std::size_t>(cam.index);
-        if (!active[i]) continue;
-        const bool plan_received =
-            i < uplinks.delivered.size() && uplinks.delivered[i] &&
-            i < report.downlink_delivered.size() &&
-            report.downlink_delivered[i];
-        if (!plan_received) continue;
-        std::vector<detect::Detection> mine;
-        cam.ghosts.clear();
-        for (std::size_t j = 0; j < problem.objects.size(); ++j) {
-          const int det_index = objects[j].det_index[i];
-          if (det_index < 0) continue;
-          if (assignment.x[i][j]) {
-            mine.push_back(dets[i][static_cast<std::size_t>(det_index)]);
-          } else if (cfg.policy == Policy::kBalb) {
-            int tracker_cam = -1;
-            for (std::size_t i2 = 0; i2 < m; ++i2)
-              if (assignment.x[i2][j]) tracker_cam = static_cast<int>(i2);
-            cam.ghosts.push_back(Ghost{j, objects[j].boxes[i], tracker_cam});
-          }
-        }
-        cam.tracker.reset_from_detections(mine);
-      }
+      central_stage(mf, eval_frame, stats);
     }
 
-    // Render the key frame so the next regular frame has a flow reference.
     // Each camera owns its renderer, render_objs and FlowScratch, so the
-    // cameras run in parallel with nothing shared.
+    // cameras render in parallel with nothing shared.
     pool.parallel_for_each(cameras.size(), [&](std::size_t i) {
       if (!active[i]) return;
       CameraNode& cam = cameras[i];
@@ -578,24 +464,172 @@ struct Pipeline::Impl {
 
     // The full inspection resets the detect-or-track clock of every online
     // camera (staleness, drift and confidence all restart from here).
-    if (features_on) {
-      for (CameraNode& cam : cameras) {
-        const auto i = static_cast<std::size_t>(cam.index);
-        if (!active[i] || gate_cold(i)) continue;
-        double mean_score = 1.0;
-        if (!dets[i].empty()) {
-          double acc = 0.0;
-          for (const detect::Detection& d : dets[i]) acc += d.score;
-          mean_score = acc / static_cast<double>(dets[i].size());
-        }
-        cam.pstate.note_detect(
-            mean_score, 0, static_cast<int>(cam.tracker.tracks().size()));
-        cam.pstate.reset_baseline(
-            static_cast<int>(cam.tracker.tracks().size()));
-        cam.lost.clear();  // the full inspection just re-planned everything
-        if (frame_policy) frame_policy->reset(cam.index);
+    if (!features_on) return;
+    for (CameraNode& cam : cameras) {
+      const auto i = static_cast<std::size_t>(cam.index);
+      if (!active[i] || gate_cold(i)) continue;
+      const int tracks = static_cast<int>(cam.tracker.tracks().size());
+      cam.pstate.note_detect(mean_score(full_dets_[i]), 0, tracks);
+      cam.pstate.reset_baseline(tracks);
+      cam.lost.clear();  // the full inspection just re-planned everything
+      if (frame_policy) frame_policy->reset(cam.index);
+    }
+  }
+
+  /// Central stage: association, the assignment and the distributed
+  /// stage's masks, the plan's round trip over the transport, and each
+  /// camera that received the plan adopting its slice of it.
+  void central_stage(const sim::MultiFrame& mf, long eval_frame,
+                     FrameStats& stats) {
+    MVS_SPAN("pipeline.central");
+    const std::size_t m = cameras.size();
+    // Uplink phase: the central stage only sees the detection lists the
+    // transport actually delivered — a lost uplink drops that camera out
+    // of this horizon's plan and BALB re-plans over the survivors.
+    const net::UplinkReport uplinks = transport->run_uplinks(eval_frame);
+    std::vector<std::vector<detect::Detection>> sched_dets(m);
+    for (std::size_t i = 0; i < m; ++i)
+      if (active[i] && i < uplinks.delivered.size() && uplinks.delivered[i])
+        sched_dets[i] = full_dets_[i];
+
+    util::Stopwatch central_sw;
+    const std::vector<assoc::AssociatedObject> objects =
+        associator->associate(sched_dets);
+    core::MvsProblem problem;
+    problem.cameras = devices();
+    for (std::size_t j = 0; j < objects.size(); ++j) {
+      core::ObjectSpec spec;
+      spec.key = j;
+      spec.size_class.assign(m, 0);
+      for (std::size_t i = 0; i < m; ++i) {
+        if (objects[j].det_index[i] < 0) continue;
+        spec.coverage.push_back(static_cast<int>(i));
+        spec.size_class[i] = sizes.quantize(objects[j].boxes[i]);
+      }
+      problem.objects.push_back(std::move(spec));
+    }
+    const core::Assignment assignment = assign(problem, objects);
+    stats.central_ms = central_sw.elapsed_ms();
+    if (trace) {
+      trace->record({mf.frame_index, -1, TraceEventType::kKeyFrame, 0,
+                     assignment.system_latency()});
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < objects.size(); ++j)
+          if (assignment.x[i][j])
+            trace->record({mf.frame_index, static_cast<int>(i),
+                           TraceEventType::kAssignment, j, 0.0});
+    }
+
+    const net::CycleReport report =
+        send_plan(mf.frame_index, eval_frame, assignment, objects.size());
+    stats.comm_ms = report.comm_ms;
+    stats.queue_ms = report.queue_ms;
+    stats.retries = report.retries;
+    stats.dropped_msgs = report.dropped_msgs;
+
+    // A camera whose uplink or downlink was lost never saw the new plan: it
+    // keeps its previous tracks and ghosts for another horizon instead of
+    // resetting to an empty (and wrong) slice.
+    for (std::size_t i = 0; i < m; ++i) {
+      const bool plan_received =
+          active[i] && i < uplinks.delivered.size() && uplinks.delivered[i] &&
+          i < report.downlink_delivered.size() && report.downlink_delivered[i];
+      if (plan_received) adopt_plan(cameras[i], objects, assignment);
+    }
+  }
+
+  /// The key frame's assignment: SP's power-weighted static partition (its
+  /// masks are built once), or central BALB, which under full BALB also
+  /// rebuilds the distributed stage's priority masks.
+  core::Assignment assign(const core::MvsProblem& problem,
+                          const std::vector<assoc::AssociatedObject>& objects) {
+    if (cfg.policy == Policy::kStaticPartition) {
+      const core::RegionKeyFn region_key = cached_region_key();
+      std::vector<int> owner(problem.objects.size(), 0);
+      for (std::size_t j = 0; j < problem.objects.size(); ++j) {
+        const int canonical = problem.objects[j].coverage.front();
+        owner[j] = core::power_weighted_owner(
+            problem.objects[j].coverage, problem.cameras,
+            region_key(canonical,
+                       objects[j].boxes[static_cast<std::size_t>(canonical)]
+                           .center()));
+      }
+      core::Assignment assignment =
+          core::static_partition_assignment(problem, owner);
+      if (!sp_masks_ready) {
+        sp_masks = core::build_power_weighted_masks(
+            frame_dims(), cfg.mask_cell_px, cached_coverage(),
+            cached_region_key(), problem.cameras);
+        sp_masks_ready = true;
+      }
+      return assignment;
+    }
+    core::Assignment assignment = core::central_balb(problem);
+    if (cfg.policy == Policy::kBalb) {
+      // Offline cameras are cut from the priority order, so their mask
+      // cells fall to surviving cameras and takeover elections never pick a
+      // dead device.
+      std::vector<int> priority;
+      for (int c : assignment.priority_order())
+        if (active[static_cast<std::size_t>(c)]) priority.push_back(c);
+      distributed = core::DistributedStage(
+          core::build_priority_masks(frame_dims(), cfg.mask_cell_px,
+                                     cached_coverage(), priority),
+          priority);
+    }
+    return assignment;
+  }
+
+  /// Downlink each online camera its slice of the plan and close the
+  /// transport cycle; retries and drops go to the trace.
+  net::CycleReport send_plan(long frame_index, long eval_frame,
+                             const core::Assignment& assignment,
+                             std::size_t objects) {
+    for (std::size_t i = 0; i < cameras.size(); ++i) {
+      if (!active[i]) continue;
+      net::AssignmentMsg msg;
+      msg.camera_id = static_cast<std::uint32_t>(i);
+      msg.frame_index = static_cast<std::uint64_t>(frame_index);
+      for (std::size_t j = 0; j < objects; ++j)
+        if (assignment.x[i][j]) msg.assigned_keys.push_back(j);
+      transport->send_downlink(eval_frame, static_cast<int>(i),
+                               msg.encode().size());
+    }
+    net::CycleReport report = transport->finish_cycle(eval_frame);
+    if (trace) {
+      for (const net::MessageEvent& e : report.events)
+        trace->record({frame_index, e.camera,
+                       e.kind == net::MessageEvent::Kind::kRetry
+                           ? TraceEventType::kNetRetry
+                           : TraceEventType::kNetDrop,
+                       static_cast<std::uint64_t>(e.uplink ? 1 : 0),
+                       e.time_ms});
+    }
+    return report;
+  }
+
+  /// A camera adopts its slice of the plan; under BALB the objects it sees
+  /// but another camera tracks become its ghosts (distributed-stage
+  /// bookkeeping).
+  void adopt_plan(CameraNode& cam,
+                  const std::vector<assoc::AssociatedObject>& objects,
+                  const core::Assignment& assignment) {
+    const auto i = static_cast<std::size_t>(cam.index);
+    std::vector<detect::Detection> mine;
+    cam.ghosts.clear();
+    for (std::size_t j = 0; j < objects.size(); ++j) {
+      const int det_index = objects[j].det_index[i];
+      if (det_index < 0) continue;
+      if (assignment.x[i][j]) {
+        mine.push_back(full_dets_[i][static_cast<std::size_t>(det_index)]);
+      } else if (cfg.policy == Policy::kBalb) {
+        int tracker_cam = -1;
+        for (std::size_t i2 = 0; i2 < cameras.size(); ++i2)
+          if (assignment.x[i2][j]) tracker_cam = static_cast<int>(i2);
+        cam.ghosts.push_back(Ghost{j, objects[j].boxes[i], tracker_cam});
       }
     }
+    cam.tracker.reset_from_detections(mine);
   }
 
   /// Per-camera regular-frame outcome, reduced into FrameStats afterwards so
@@ -677,390 +711,354 @@ struct Pipeline::Impl {
     }
   }
 
+  /// One camera's regular frame (Fig. 5), as its stages. The
+  /// pipeline.tracking span (Table II's tracking column) runs from flow
+  /// through slicing, or through the decision on a track-only frame. A
+  /// track-only frame has no slices, no batch plan and no detector RNG
+  /// draws: zero GPU time, and gpu_work stays empty, so a hosting fleet
+  /// merges nothing.
   void regular_camera_step(CameraNode& cam, const sim::MultiFrame& mf,
                            std::vector<geom::BBox>& cam_reported,
                            CamFrameResult& result) {
-    const bool adopts_new = cfg.policy == Policy::kBalb ||
-                            cfg.policy == Policy::kBalbInd ||
-                            cfg.policy == Policy::kStaticPartition;
+    MVS_SPAN("pipeline.camera");
+    const auto& gt = mf.per_camera[static_cast<std::size_t>(cam.index)];
+    cam.render_current(gt, mf.frame_index);
+
+    policy::CameraFeatures feats;
+    bool detect = false;
     {
-      MVS_SPAN("pipeline.camera");
-      const auto i = static_cast<std::size_t>(cam.index);
-      const auto& gt = mf.per_camera[i];
-
-      cam.render_current(gt, mf.frame_index);
-
-      // --- tracking: optical flow + projection + slicing ---
-      std::optional<obs::Span> stage_span;
-      if (obs::enabled()) stage_span.emplace("pipeline.tracking");
+      MVS_SPAN("pipeline.tracking");
       util::Stopwatch track_sw;
-      cam.flow_engine.compute(cam.scratch, cam.flow,
-                              tile_flow ? &pool : nullptr);
-      const vision::FlowField& flow = cam.flow;
-      // Velocity-fallback coasting only under an active policy layer: the
-      // fixed pipeline (frame_policy == nullptr, even when recording a
-      // feature trace) keeps the flow-only prediction bit-identical.
-      cam.tracker.predict(flow, cam.render_scale, frame_policy != nullptr);
-      if (frame_policy) {
-        // Coast the lost-track search boxes on their last velocity; expire
-        // entries that timed out or left the frame.
-        for (auto it = cam.lost.begin(); it != cam.lost.end();) {
-          it->box = it->box.shifted(it->velocity);
-          const geom::BBox clipped =
-              it->box.clamped(cam.frame_w, cam.frame_h);
-          if (--it->ttl <= 0 || it->box.area() <= 0.0 ||
-              clipped.area() < 0.3 * it->box.area()) {
-            it = cam.lost.erase(it);
-          } else {
-            ++it;
-          }
-        }
+      track(cam, mf.frame_index);
+      detect = decide(cam, mf.frame_index, feats, result);
+      if (detect) {
+        select_track_slices(cam);
+        select_new_regions(cam);
       }
-      cam.cull_departed_into(cam.step.dropped);
-      for (long dropped : cam.step.dropped) {
-        if (features_on) cam.pstate.note_departure();
-        if (trace)
-          trace->record({mf.frame_index, cam.index,
-                         TraceEventType::kTrackDrop,
-                         static_cast<std::uint64_t>(dropped), 0.0});
-      }
-      for (Ghost& g : cam.ghosts) {
-        const geom::BBox fb{g.box.x / cam.render_scale,
-                            g.box.y / cam.render_scale,
-                            g.box.w / cam.render_scale,
-                            g.box.h / cam.render_scale};
-        const geom::Vec2 motion = vision::median_flow_in(flow, fb);
-        g.box = g.box.shifted(
-            {motion.x * cam.render_scale, motion.y * cam.render_scale});
-      }
-      // --- detect-or-track decision (mvs::policy) ---
-      // The fixed kind never reaches here (frame_policy is null and
-      // features_on is false), so the pre-policy pipeline runs untouched.
-      bool do_detect = true;
-      policy::CameraFeatures feats;
-      if (features_on) {
-        ++cam.pstate.frames_since_detect;
-        // Track boxes first, then ghosts: the tracks prefix feeds the drift
-        // and the whole list is what the camera already explains.
-        std::vector<geom::BBox>& known = cam.step.explained;
-        known.clear();
-        for (const track::Track& t : cam.tracker.tracks())
-          known.push_back(t.box);
-        cam.pstate.add_drift(policy::mean_track_motion_px(
-            flow, std::span(known).first(cam.tracker.tracks().size()),
-            cam.render_scale));
-        for (const Ghost& g : cam.ghosts) known.push_back(g.box);
-        feats = cam.pstate.features(
-            cam.tracker.tracks().size(), policy::normalized_residual(flow),
-            policy::unexplained_motion_fraction(flow, known,
-                                                cam.render_scale));
-      }
-      if (frame_policy) {
-        std::optional<obs::Span> decide_span;
-        if (obs::enabled()) decide_span.emplace("policy.decide");
-        const policy::Decision decision =
-            frame_policy->decide(cam.index, feats);
-        do_detect = decision.detect;
-        // The very next frame is a key frame: its full inspection re-plans
-        // every track, so a partial-frame correction now is paid for in full
-        // but useful for exactly one frame. Always coast into a key frame.
-        if (cfg.horizon_frames > 0 &&
-            (mf.frame_index + 1) % cfg.horizon_frames == 0)
-          do_detect = false;
-        result.policy_decided = true;
-        result.policy_detect = decision.detect;
-        result.drift_at_decide = feats.drift_px;
-      }
-      // Correlation-gated cold camera: coast track-only regardless of the
-      // frame policy. The gate only cools views with zero activity, so this
-      // frame is pure render + flow — no slices, no new-region search.
-      if (gate_cold(i)) do_detect = false;
-
-      if (!do_detect) {
-        // Track-only frame: coast on the flow-projected tracks. No slices,
-        // no batch plan, no detector RNG draws — zero GPU time this frame
-        // (gpu_work[i] stays empty, so a hosting fleet merges nothing).
-        result.tracking_ms = track_sw.elapsed_ms();
-        stage_span.reset();
-      } else {
-        // Per-track slice selection (policy mode): a detect frame inspects
-        // only the tracks that need correction — coasted two or more frames,
-        // carrying a miss, or too young for a velocity estimate. A track
-        // corrected on the previous frame coasts one more; a burst of
-        // trigger-driven detect frames therefore pays for the needy track
-        // (or lost-track search), not a full re-inspection of the camera.
-        // The search region grows with coast length (capped so a healthy
-        // box does not spill into the next size class). Fixed slicing keeps
-        // the exact predicted boxes of every track (bit-identity).
-        constexpr double kCoastSlackPx = 1.5;
-        constexpr double kCoastSlackCapPx = 6.0;
-        std::vector<long>& inspected_ids = cam.step.inspected_ids;
-        inspected_ids.clear();
-        std::vector<vision::SliceRegion>& slices = cam.step.slices;
-        if (frame_policy) {
-          std::vector<std::pair<long, geom::BBox>>& inspect =
-              cam.step.inspect;
-          inspect.clear();
-          for (const track::Track& t : cam.tracker.tracks()) {
-            if (t.frames_since_correct < 2 && t.missed == 0 &&
-                t.has_velocity)
-              continue;
-            const double slack = std::min(
-                kCoastSlackCapPx, kCoastSlackPx * t.frames_since_correct);
-            inspect.emplace_back(t.id, t.box.expanded(slack));
-            inspected_ids.push_back(t.id);
-          }
-          // Seed search slices from the lost list so a camera whose tracks
-          // all died is not blind until the next key frame.
-          for (const CameraNode::LostTrack& l : cam.lost)
-            inspect.emplace_back(-1L, l.box.expanded(2.0 * kCoastSlackPx));
-          vision::slice_regions_into(inspect, sizes, cam.frame_w,
-                                     cam.frame_h, /*margin=*/8.0, slices);
-        } else {
-          cam.tracker.predicted_boxes_into(cam.step.predicted);
-          vision::slice_regions_into(cam.step.predicted, sizes, cam.frame_w,
-                                     cam.frame_h, /*margin=*/8.0, slices);
-        }
-
-        if (adopts_new) {
-          // Moving pixels not explained by tracks or ghosts = new regions.
-          std::vector<geom::BBox>& explained = cam.step.explained;
-          explained.clear();
-          for (const track::Track& t : cam.tracker.tracks())
-            explained.push_back(t.box);
-          for (const Ghost& g : cam.ghosts) explained.push_back(g.box);
-          std::vector<geom::BBox>& fresh = cam.step.fresh;
-          vision::extract_new_regions_into(flow, explained, cam.render_scale,
-                                           {}, cam.step.regions, fresh);
-          // Fig. 8 policy applied at inspection time: a camera only searches
-          // for new objects inside cells it owns — inspecting a region whose
-          // tracking it would never adopt is wasted GPU time.
-          std::erase_if(fresh, [&](const geom::BBox& box) {
-            if (!adopt_allowed(cam.index, box)) return true;
-            switch (cfg.policy) {
-              case Policy::kBalb:
-                return !(distributed.valid() &&
-                         distributed.should_adopt_new(cam.index, box));
-              case Policy::kStaticPartition:
-                return !(sp_masks_ready &&
-                         sp_masks.owns(cam.index, box.center()));
-              default:
-                return false;  // BALB-Ind inspects everything it sees
-            }
-          });
-          // A merged moving cluster (e.g. a queue released by a green light)
-          // can span far more than one object; tile it into 256-class
-          // slices, which batch far cheaper than serial 512-class
-          // inspections.
-          constexpr double kTile = 240.0;  // 240 + 2x8 margin -> class 256
-          for (const geom::BBox& box : fresh) {
-            const int tiles_x =
-                std::max(1, static_cast<int>(std::ceil(box.w / kTile)));
-            const int tiles_y =
-                std::max(1, static_cast<int>(std::ceil(box.h / kTile)));
-            for (int ty = 0; ty < tiles_y; ++ty) {
-              for (int tx = 0; tx < tiles_x; ++tx) {
-                const geom::BBox tile{box.x + tx * box.w / tiles_x,
-                                      box.y + ty * box.h / tiles_y,
-                                      box.w / tiles_x, box.h / tiles_y};
-                vision::SliceRegion region;
-                region.track_id = -1;
-                region.size_class = sizes.quantize(tile);
-                region.roi = sizes.expand_to_class(tile, region.size_class)
-                                 .clamped(cam.frame_w, cam.frame_h);
-                if (!region.roi.empty()) slices.push_back(region);
-              }
-            }
-          }
-        }
-        result.tracking_ms = track_sw.elapsed_ms();
-        stage_span.reset();
-
-        // --- GPU batching: plan + assemble input tensors ---
-        if (obs::enabled()) stage_span.emplace("gpu.batch");
-        util::Stopwatch batch_sw;
-        // Built directly in the fleet-facing demand slot: run_frame cleared
-        // it, and writing in place keeps its capacity frame over frame.
-        std::vector<geom::SizeClassId>& tasks = gpu_work[i].tasks;
-        tasks.reserve(slices.size());
-        for (const vision::SliceRegion& s : slices)
-          tasks.push_back(s.size_class);
-        gpu::plan_batches_into(tasks, cam.device, cam.step.batch_counts,
-                               cam.step.plan);
-        const gpu::BatchPlan& plan = cam.step.plan;
-        assemble_batches(cam, cam.scratch.cur_frame(), slices);
-        MVS_COUNT("gpu.tasks", tasks.size());
-        MVS_COUNT("gpu.batches", plan.batches.size());
-        MVS_HIST("gpu.plan_latency_ms", plan.actual_latency_ms);
-        result.batching_ms = batch_sw.elapsed_ms();
-        stage_span.reset();
-
-        result.infer_ms = plan.actual_latency_ms;
-
-        // --- partial-frame inspection ---
-        std::vector<detect::Detection>& dets = cam.step.dets;
-        dets.clear();
-        for (const vision::SliceRegion& s : slices) {
-          detector.detect_roi_append(gt, s.roi, sizes.size_of(s.size_class),
-                                     cam.rng, dets);
-        }
-        nms_into(dets, 0.6, cam.step.nms_kept);
-        // Post-NMS survivors become `dets` (the raw buffer becomes next
-        // frame's NMS scratch) — same contents and order as the old
-        // by-value `dets = nms(std::move(dets), 0.6)`.
-        dets.swap(cam.step.nms_kept);
-
-        // Trace-label baseline: what the tracker believed before the
-        // detections corrected it (recording only).
-        std::vector<std::pair<long, geom::BBox>> predicted_before;
-        if (feature_trace.is_open())
-          predicted_before = cam.tracker.predicted_boxes();
-        // Snapshot so tracks removed by update() can enter the lost list
-        // with their final box and velocity (policy mode only).
-        std::vector<track::Track>& pre_update = cam.step.pre_update;
-        if (frame_policy)
-          pre_update.assign(cam.tracker.tracks().begin(),
-                            cam.tracker.tracks().end());
-
-        cam.tracker.update_into(dets, frame_policy ? &inspected_ids : nullptr,
-                                cam.step.update);
-        const track::FlowTracker::UpdateResult& update = cam.step.update;
-        if (frame_policy) {
-          // Searching past the next key frame is pointless — it re-plans.
-          constexpr int kLostSearchTtl = 10;
-          for (long removed : update.removed_track_ids) {
-            for (const track::Track& t : pre_update) {
-              if (t.id != removed) continue;
-              cam.lost.push_back({t.box, t.velocity, kLostSearchTtl});
-              break;
-            }
-          }
-        }
-        if (trace)
-          for (long removed : update.removed_track_ids)
-            trace->record({mf.frame_index, cam.index,
-                           TraceEventType::kTrackDrop,
-                           static_cast<std::uint64_t>(removed), 0.0});
-
-        // --- distributed BALB stage ---
-        if (obs::enabled()) stage_span.emplace("pipeline.distributed");
-        util::Stopwatch dist_sw;
-        int adopted = 0;
-        for (std::size_t d : update.unmatched_detections) {
-          const detect::Detection& det = dets[d];
-          // Re-acquisition first: a detection landing on a lost-track search
-          // box recovers an object this camera was already responsible for,
-          // so it bypasses the new-object gates below (policy mode only —
-          // the lost list is empty otherwise).
-          bool reacquired = false;
-          for (auto it = cam.lost.begin(); it != cam.lost.end(); ++it) {
-            if (geom::iou(det.box, it->box) <= 0.1) continue;
-            const long id = cam.tracker.add_track(det);
-            cam.lost.erase(it);
-            ++adopted;
-            reacquired = true;
-            if (trace)
-              trace->record({mf.frame_index, cam.index,
-                             TraceEventType::kAdoptNew,
-                             static_cast<std::uint64_t>(id), 0.0});
-            break;
-          }
-          if (reacquired) continue;
-          // Detections overlapping a ghost belong to an object tracked
-          // elsewhere; never adopt those as new.
-          bool ghost_owned = false;
-          for (const Ghost& g : cam.ghosts) {
-            if (geom::iou(det.box, g.box) > 0.25) {
-              ghost_owned = true;
-              break;
-            }
-          }
-          if (ghost_owned) continue;
-
-          bool adopt = false;
-          switch (cfg.policy) {
-            case Policy::kBalbInd: adopt = true; break;
-            case Policy::kBalb:
-              adopt = distributed.valid() &&
-                      distributed.should_adopt_new(cam.index, det.box);
-              break;
-            case Policy::kStaticPartition:
-              adopt = sp_masks_ready &&
-                      sp_masks.owns(cam.index, det.box.center());
-              break;
-            case Policy::kBalbCen:
-            case Policy::kFull: break;
-          }
-          if (adopt && !adopt_allowed(cam.index, det.box)) adopt = false;
-          // Under a detect-or-track policy, sparse inspection orphans
-          // objects far more often (the assigned camera's track dies between
-          // its inspections). This detection is already paid for and no
-          // ghost claims it — no camera anywhere is tracking the object —
-          // so the spatial-ownership gate (which exists to avoid wasted
-          // SEARCH, not to discard hits in hand) must not drop it. Fixed
-          // mode keeps the strict gate: its every-frame correction makes
-          // orphaning a non-event, and bit-identity is contractual.
-          if (!adopt && frame_policy) adopt = true;
-          if (adopt) {
-            const long id = cam.tracker.add_track(det);
-            ++adopted;
-            if (trace)
-              trace->record({mf.frame_index, cam.index,
-                             TraceEventType::kAdoptNew,
-                             static_cast<std::uint64_t>(id), 0.0});
-          }
-        }
-
-        int takeovers = 0;
-        if (cfg.policy == Policy::kBalb && distributed.valid()) {
-          takeovers = takeover_pass(cam, mf.frame_index);
-        }
-        result.distributed_ms = dist_sw.elapsed_ms();
-        stage_span.reset();
-
-        if (features_on) {
-          // Inspection outcome feeds the next decisions: churn (tracks
-          // added + dropped) and the mean detection confidence, which
-          // decays until the next detect.
-          double mean_score = 1.0;
-          if (!dets.empty()) {
-            double acc = 0.0;
-            for (const detect::Detection& d : dets) acc += d.score;
-            mean_score = acc / static_cast<double>(dets.size());
-          }
-          const int churn_events =
-              adopted + takeovers +
-              static_cast<int>(update.removed_track_ids.size());
-          if (feature_trace.is_open()) {
-            // Counterfactual label: did this inspection change anything the
-            // coasting tracker would have gotten wrong? New/lost tracks, or
-            // a matched track whose corrected box disagrees with the flow
-            // prediction.
-            constexpr double kLabelIou = 0.85;
-            bool corrected = false;
-            for (long id : update.matched_track_ids) {
-              const track::Track* now = cam.tracker.find(id);
-              if (!now) continue;
-              for (const auto& [pid, pbox] : predicted_before) {
-                if (pid != id) continue;
-                if (geom::iou(pbox, now->box) < kLabelIou) corrected = true;
-                break;
-              }
-              if (corrected) break;
-            }
-            result.trace_features = feats.to_vector();
-            result.trace_label = (churn_events > 0 || corrected) ? 1 : 0;
-          }
-          cam.pstate.note_detect(
-              mean_score, churn_events,
-              static_cast<int>(cam.tracker.tracks().size()));
-        }
-      }
-
-      cam.scratch.advance();  // this frame becomes the next flow reference
-      for (const track::Track& t : cam.tracker.tracks())
-        cam_reported.push_back(t.box);
+      result.tracking_ms = track_sw.elapsed_ms();
     }
+    if (detect) {
+      batch(cam, result);
+      inspect(cam, gt, mf.frame_index);
+      const int added = distribute(cam, mf.frame_index, result);
+      note_outcome(cam, feats, added, result);
+    }
+
+    cam.scratch.advance();  // this frame becomes the next flow reference
+    for (const track::Track& t : cam.tracker.tracks())
+      cam_reported.push_back(t.box);
+  }
+
+  /// Track stage: optical flow against the previous frame, track
+  /// prediction, the lost-list coast, the departure cull and ghost motion.
+  /// Ends by listing the boxes the camera already explains (tracks, then
+  /// ghosts) for the decision and the new-region search.
+  void track(CameraNode& cam, long frame_index) {
+    cam.flow_engine.compute(cam.scratch, cam.flow, tile_flow ? &pool : nullptr);
+    const vision::FlowField& flow = cam.flow;
+    // Velocity-fallback coasting only under an active policy layer: the
+    // fixed pipeline (frame_policy == nullptr, even when recording a
+    // feature trace) keeps the flow-only prediction bit-identical.
+    cam.tracker.predict(flow, cam.render_scale, frame_policy != nullptr);
+    if (frame_policy) {
+      // Coast the lost-track search boxes on their last velocity; expire
+      // entries that timed out or left the frame.
+      for (auto it = cam.lost.begin(); it != cam.lost.end();) {
+        it->box = it->box.shifted(it->velocity);
+        if (--it->ttl <= 0 || cam.left_view(it->box)) {
+          it = cam.lost.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    cam.cull_departed_into(cam.step.dropped);
+    for (long dropped : cam.step.dropped) {
+      if (features_on) cam.pstate.note_departure();
+      if (trace)
+        trace->record({frame_index, cam.index, TraceEventType::kTrackDrop,
+                       static_cast<std::uint64_t>(dropped), 0.0});
+    }
+    for (Ghost& g : cam.ghosts) {
+      const geom::BBox fb{g.box.x / cam.render_scale,
+                          g.box.y / cam.render_scale,
+                          g.box.w / cam.render_scale,
+                          g.box.h / cam.render_scale};
+      const geom::Vec2 motion = vision::median_flow_in(flow, fb);
+      g.box = g.box.shifted(
+          {motion.x * cam.render_scale, motion.y * cam.render_scale});
+    }
+    std::vector<geom::BBox>& explained = cam.step.explained;
+    explained.clear();
+    for (const track::Track& t : cam.tracker.tracks())
+      explained.push_back(t.box);
+    for (const Ghost& g : cam.ghosts) explained.push_back(g.box);
+  }
+
+  /// Decide stage (mvs::policy): does this camera inspect this frame? The
+  /// fixed kind always does; with frame_policy null and features_on false it
+  /// touches no policy state, so the pre-policy pipeline runs untouched.
+  bool decide(CameraNode& cam, long frame_index, policy::CameraFeatures& feats,
+              CamFrameResult& result) {
+    if (features_on) {
+      ++cam.pstate.frames_since_detect;
+      // The tracks prefix of the explained boxes feeds the drift.
+      const std::vector<geom::BBox>& known = cam.step.explained;
+      cam.pstate.add_drift(policy::mean_track_motion_px(
+          cam.flow, std::span(known).first(cam.tracker.tracks().size()),
+          cam.render_scale));
+      feats = cam.pstate.features(
+          cam.tracker.tracks().size(), policy::normalized_residual(cam.flow),
+          policy::unexplained_motion_fraction(cam.flow, known,
+                                              cam.render_scale));
+    }
+    bool detect = true;
+    if (frame_policy) {
+      MVS_SPAN("policy.decide");
+      const policy::Decision decision = frame_policy->decide(cam.index, feats);
+      detect = decision.detect;
+      // The very next frame is a key frame: its full inspection re-plans
+      // every track, so a partial-frame correction now is paid for in full
+      // but useful for exactly one frame. Always coast into a key frame.
+      if (cfg.horizon_frames > 0 &&
+          (frame_index + 1) % cfg.horizon_frames == 0)
+        detect = false;
+      result.policy_decided = true;
+      result.policy_detect = decision.detect;
+      result.drift_at_decide = feats.drift_px;
+    }
+    // Correlation-gated cold camera: coast track-only regardless of the
+    // frame policy. The gate only cools views with zero activity, so this
+    // frame is pure render + flow — no slices, no new-region search.
+    return detect && !gate_cold(static_cast<std::size_t>(cam.index));
+  }
+
+  /// Track slices. Fixed slicing keeps the exact predicted box of every
+  /// track (bit-identity). Under a policy a detect frame inspects only the
+  /// tracks that need correction — coasted two or more frames, carrying a
+  /// miss, or too young for a velocity estimate — plus the lost-list search
+  /// boxes, so a camera whose tracks all died is not blind until the next
+  /// key frame. A track corrected on the previous frame coasts one more, so
+  /// a burst of trigger-driven detect frames pays for the needy track, not
+  /// a full re-inspection of the camera. The search region grows with coast
+  /// length, capped so a healthy box does not spill into the next size
+  /// class.
+  void select_track_slices(CameraNode& cam) {
+    constexpr double kCoastSlackPx = 1.5;
+    constexpr double kCoastSlackCapPx = 6.0;
+    cam.step.inspected_ids.clear();
+    if (!frame_policy) {
+      cam.tracker.predicted_boxes_into(cam.step.predicted);
+      vision::slice_regions_into(cam.step.predicted, sizes, cam.frame_w,
+                                 cam.frame_h, /*margin=*/8.0, cam.step.slices);
+      return;
+    }
+    std::vector<std::pair<long, geom::BBox>>& inspect = cam.step.inspect;
+    inspect.clear();
+    for (const track::Track& t : cam.tracker.tracks()) {
+      if (t.frames_since_correct < 2 && t.missed == 0 && t.has_velocity)
+        continue;
+      const double slack = std::min(kCoastSlackCapPx,
+                                    kCoastSlackPx * t.frames_since_correct);
+      inspect.emplace_back(t.id, t.box.expanded(slack));
+      cam.step.inspected_ids.push_back(t.id);
+    }
+    for (const CameraNode::LostTrack& l : cam.lost)
+      inspect.emplace_back(-1L, l.box.expanded(2.0 * kCoastSlackPx));
+    vision::slice_regions_into(inspect, sizes, cam.frame_w, cam.frame_h,
+                               /*margin=*/8.0, cam.step.slices);
+  }
+
+  /// New-region slices: moving pixels that no track or ghost explains. The
+  /// camera only searches where owns_new lets it adopt (Fig. 8 applied at
+  /// inspection time: inspecting a region whose tracking it would never
+  /// adopt is wasted GPU time), so BALB-Cen never searches.
+  void select_new_regions(CameraNode& cam) {
+    if (cfg.policy == Policy::kBalbCen) return;
+    std::vector<geom::BBox>& fresh = cam.step.fresh;
+    vision::extract_new_regions_into(cam.flow, cam.step.explained,
+                                     cam.render_scale, {}, cam.step.regions,
+                                     fresh);
+    std::erase_if(fresh, [&](const geom::BBox& box) {
+      return !owns_new(cam.index, box);
+    });
+    // A merged moving cluster (e.g. a queue released by a green light) can
+    // span far more than one object; tile it into 256-class slices, which
+    // batch far cheaper than serial 512-class inspections.
+    constexpr double kTile = 240.0;  // 240 + 2x8 margin -> class 256
+    for (const geom::BBox& box : fresh) {
+      const int tiles_x =
+          std::max(1, static_cast<int>(std::ceil(box.w / kTile)));
+      const int tiles_y =
+          std::max(1, static_cast<int>(std::ceil(box.h / kTile)));
+      for (int ty = 0; ty < tiles_y; ++ty) {
+        for (int tx = 0; tx < tiles_x; ++tx) {
+          const geom::BBox tile{box.x + tx * box.w / tiles_x,
+                                box.y + ty * box.h / tiles_y,
+                                box.w / tiles_x, box.h / tiles_y};
+          vision::SliceRegion region;
+          region.track_id = -1;
+          region.size_class = sizes.quantize(tile);
+          region.roi = sizes.expand_to_class(tile, region.size_class)
+                           .clamped(cam.frame_w, cam.frame_h);
+          if (!region.roi.empty()) cam.step.slices.push_back(region);
+        }
+      }
+    }
+  }
+
+  /// Batch stage (Table II's batching column): plan the slices into batches
+  /// on the camera's device and assemble their input tensors. The plan's
+  /// latency is the camera's simulated inference time this frame.
+  void batch(CameraNode& cam, CamFrameResult& result) {
+    MVS_SPAN("gpu.batch");
+    util::Stopwatch batch_sw;
+    // Built directly in the fleet-facing demand slot: run_frame cleared it,
+    // and writing in place keeps its capacity frame over frame.
+    std::vector<geom::SizeClassId>& tasks =
+        gpu_work[static_cast<std::size_t>(cam.index)].tasks;
+    tasks.reserve(cam.step.slices.size());
+    for (const vision::SliceRegion& s : cam.step.slices)
+      tasks.push_back(s.size_class);
+    gpu::plan_batches_into(tasks, cam.device, cam.step.batch_counts,
+                           cam.step.plan);
+    const gpu::BatchPlan& plan = cam.step.plan;
+    assemble_batches(cam);
+    MVS_COUNT("gpu.tasks", tasks.size());
+    MVS_COUNT("gpu.batches", plan.batches.size());
+    MVS_HIST("gpu.plan_latency_ms", plan.actual_latency_ms);
+    result.batching_ms = batch_sw.elapsed_ms();
+    result.infer_ms = plan.actual_latency_ms;
+  }
+
+  /// Inspect stage: detection in every slice, NMS, and the tracker update.
+  /// Tracks the update drops go to the trace and, under a policy, to the
+  /// lost list.
+  void inspect(CameraNode& cam,
+               const std::vector<detect::GroundTruthObject>& gt,
+               long frame_index) {
+    std::vector<detect::Detection>& dets = cam.step.dets;
+    dets.clear();
+    for (const vision::SliceRegion& s : cam.step.slices)
+      detector.detect_roi_append(gt, s.roi, sizes.size_of(s.size_class),
+                                 cam.rng, dets);
+    nms_into(dets, 0.6, cam.step.nms_kept);
+    // Post-NMS survivors become `dets`; the raw buffer becomes next frame's
+    // NMS scratch.
+    dets.swap(cam.step.nms_kept);
+
+    // Trace-label baseline: what the tracker believed before the detections
+    // corrected it (recording only).
+    if (feature_trace.is_open())
+      cam.tracker.predicted_boxes_into(cam.step.predicted);
+    // Snapshot so tracks removed by update() can enter the lost list with
+    // their final box and velocity.
+    std::vector<track::Track>& pre_update = cam.step.pre_update;
+    if (frame_policy)
+      pre_update.assign(cam.tracker.tracks().begin(),
+                        cam.tracker.tracks().end());
+
+    cam.tracker.update_into(dets,
+                            frame_policy ? &cam.step.inspected_ids : nullptr,
+                            cam.step.update);
+    // Searching past the next key frame is pointless — it re-plans.
+    constexpr int kLostSearchTtl = 10;
+    for (long removed : cam.step.update.removed_track_ids) {
+      if (frame_policy) {
+        const auto t = std::find_if(
+            pre_update.begin(), pre_update.end(),
+            [&](const track::Track& p) { return p.id == removed; });
+        if (t != pre_update.end())
+          cam.lost.push_back({t->box, t->velocity, kLostSearchTtl});
+      }
+      if (trace)
+        trace->record({frame_index, cam.index, TraceEventType::kTrackDrop,
+                       static_cast<std::uint64_t>(removed), 0.0});
+    }
+  }
+
+  /// Distributed stage (Fig. 8), decided locally from the shared models:
+  /// adopt the unmatched detections, then take over ghosts whose tracking
+  /// camera lost them. Returns the tracks it added.
+  int distribute(CameraNode& cam, long frame_index, CamFrameResult& result) {
+    MVS_SPAN("pipeline.distributed");
+    util::Stopwatch dist_sw;
+    int added = 0;
+    for (std::size_t d : cam.step.update.unmatched_detections) {
+      const detect::Detection& det = cam.step.dets[d];
+      // Re-acquisition first: a detection landing on a lost-track search
+      // box recovers an object this camera was already responsible for, so
+      // it bypasses the new-object gates below (policy mode only — the lost
+      // list is empty otherwise).
+      const auto lost = std::find_if(
+          cam.lost.begin(), cam.lost.end(),
+          [&](const CameraNode::LostTrack& l) {
+            return geom::iou(det.box, l.box) > 0.1;
+          });
+      if (lost != cam.lost.end()) {
+        cam.lost.erase(lost);
+      } else {
+        // Detections overlapping a ghost belong to an object tracked
+        // elsewhere; never adopt those as new.
+        if (std::any_of(cam.ghosts.begin(), cam.ghosts.end(),
+                        [&](const Ghost& g) {
+                          return geom::iou(det.box, g.box) > 0.25;
+                        }))
+          continue;
+        // Under a detect-or-track policy, sparse inspection orphans objects
+        // far more often (the assigned camera's track dies between its
+        // inspections). This detection is already paid for and no ghost
+        // claims it — no camera anywhere is tracking the object — so the
+        // ownership gate (which exists to avoid wasted SEARCH, not to
+        // discard hits in hand) must not drop it. Fixed mode keeps the
+        // strict gate: its every-frame correction makes orphaning a
+        // non-event, and bit-identity is contractual.
+        if (!frame_policy && !owns_new(cam.index, det.box)) continue;
+      }
+      const long id = cam.tracker.add_track(det);
+      ++added;
+      if (trace)
+        trace->record({frame_index, cam.index, TraceEventType::kAdoptNew,
+                       static_cast<std::uint64_t>(id), 0.0});
+    }
+    if (cfg.policy == Policy::kBalb && distributed.valid())
+      added += takeover_pass(cam, frame_index);
+    result.distributed_ms = dist_sw.elapsed_ms();
+    return added;
+  }
+
+  /// Outcome stage: the inspection feeds the next decisions — churn (tracks
+  /// added and dropped) and the mean detection confidence, which decays
+  /// until the next detect — and, when recording, the camera's labelled
+  /// feature-trace row.
+  void note_outcome(CameraNode& cam, const policy::CameraFeatures& feats,
+                    int added, CamFrameResult& result) {
+    if (!features_on) return;
+    const track::FlowTracker::UpdateResult& update = cam.step.update;
+    const int churn_events =
+        added + static_cast<int>(update.removed_track_ids.size());
+    if (feature_trace.is_open()) {
+      // Counterfactual label: did this inspection change anything the
+      // coasting tracker would have gotten wrong? New/lost tracks, or a
+      // matched track whose corrected box disagrees with the flow
+      // prediction.
+      constexpr double kLabelIou = 0.85;
+      bool corrected = false;
+      for (long id : update.matched_track_ids) {
+        const track::Track* now = cam.tracker.find(id);
+        if (!now) continue;
+        for (const auto& [pid, pbox] : cam.step.predicted) {
+          if (pid != id) continue;
+          if (geom::iou(pbox, now->box) < kLabelIou) corrected = true;
+          break;
+        }
+        if (corrected) break;
+      }
+      result.trace_features = feats.to_vector();
+      result.trace_label = (churn_events > 0 || corrected) ? 1 : 0;
+    }
+    cam.pstate.note_detect(mean_score(cam.step.dets), churn_events,
+                           static_cast<int>(cam.tracker.tracks().size()));
   }
 
   /// Distributed-stage case 2: ghosts whose assigned camera lost sight of
@@ -1073,9 +1071,7 @@ struct Pipeline::Impl {
     std::vector<Ghost>& kept = cam.step.ghosts_kept;
     kept.clear();
     for (Ghost& g : cam.ghosts) {
-      const geom::BBox clipped = g.box.clamped(cam.frame_w, cam.frame_h);
-      if (g.box.area() <= 0.0 || clipped.area() < 0.3 * g.box.area())
-        continue;  // left my view too; drop
+      if (cam.left_view(g.box)) continue;  // left my view too; drop
       // A dropped-out assigned camera definitely lost the object — the
       // model prediction only matters while the device is alive.
       const bool assigned_sees =
@@ -1123,8 +1119,9 @@ struct Pipeline::Impl {
   /// Copy every slice's pixels (at render resolution) into a contiguous
   /// batch buffer — the real data-movement cost behind GPU batching, which
   /// is what the paper's "Batching" overhead column measures.
-  void assemble_batches(CameraNode& cam, const vision::Image& frame,
-                        const std::vector<vision::SliceRegion>& slices) {
+  void assemble_batches(CameraNode& cam) {
+    const vision::Image& frame = cam.scratch.cur_frame();
+    const std::vector<vision::SliceRegion>& slices = cam.step.slices;
     std::size_t total = 0;
     for (const vision::SliceRegion& s : slices) {
       const int side = std::max(
@@ -1142,6 +1139,19 @@ struct Pipeline::Impl {
         for (int x = 0; x < side; ++x)
           cam.batch_buffer[offset++] = frame.at_clamped(x0 + x, y0 + y);
     }
+  }
+
+  /// The frames from history index `first` on, with the aggregate recall
+  /// over every frame run so far.
+  PipelineResult result_from(std::size_t first) const {
+    PipelineResult result;
+    result.scenario = scenario_name_;
+    result.policy = cfg.policy;
+    result.frames.assign(
+        all_frames.begin() + static_cast<std::ptrdiff_t>(first),
+        all_frames.end());
+    result.object_recall = recall.recall();
+    return result;
   }
 
   /// See Pipeline::skip_frame(): advance the player and frame counter (key
@@ -1212,6 +1222,8 @@ struct Pipeline::Impl {
   FrameStats stats_;
   std::vector<std::vector<geom::BBox>> reported_;
   std::vector<CamFrameResult> results_;
+  /// Per-camera detections of the latest full inspection.
+  std::vector<std::vector<detect::Detection>> full_dets_;
 
   /// ReXCam-style correlation gate; null unless
   /// PolicyConfig::correlation_gate (the bit-identical default).
@@ -1316,7 +1328,7 @@ const FrameStats& Pipeline::Impl::run_frame() {
   reported.resize(cameras.size());
   for (std::vector<geom::BBox>& r : reported) r.clear();
   if (cfg.policy == Policy::kFull) {
-    full_frame_step(mf, stats, reported);
+    full_inspection(mf, stats, reported);
   } else if (stats.key_frame) {
     key_frame_step(mf, f, stats, reported);
   } else {
@@ -1389,8 +1401,6 @@ void Pipeline::set_tight_masks(bool tight) {
   impl_->cfg.tight_masks = tight;
 }
 
-FrameStats Pipeline::run_frame() { return impl_->run_frame(); }
-
 const FrameStats& Pipeline::run_frame_ref() { return impl_->run_frame(); }
 
 void Pipeline::skip_frame() { impl_->skip_frame(); }
@@ -1415,26 +1425,12 @@ const sim::Scenario& Pipeline::scenario() const {
   return impl_->player.scenario();
 }
 
-PipelineResult Pipeline::result() const {
-  PipelineResult result;
-  result.scenario = impl_->scenario_name_;
-  result.policy = config_.policy;
-  result.frames = impl_->all_frames;
-  result.object_recall = impl_->recall.recall();
-  return result;
-}
+PipelineResult Pipeline::result() const { return impl_->result_from(0); }
 
 PipelineResult Pipeline::run(int frames) {
   const std::size_t start = impl_->all_frames.size();
   for (int f = 0; f < frames; ++f) impl_->run_frame();
-  PipelineResult result;
-  result.scenario = impl_->scenario_name_;
-  result.policy = config_.policy;
-  result.frames.assign(impl_->all_frames.begin() +
-                           static_cast<std::ptrdiff_t>(start),
-                       impl_->all_frames.end());
-  result.object_recall = impl_->recall.recall();
-  return result;
+  return impl_->result_from(start);
 }
 
 namespace {

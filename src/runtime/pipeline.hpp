@@ -43,13 +43,11 @@ struct PipelineConfig {
   double recall_iou = 0.4;      ///< IoU for the object-recall metric
   std::uint64_t seed = 42;
   bool verbose = false;
-  /// Worker threads for per-camera (and tiled-flow) parallelism; 0 selects
-  /// hardware concurrency. Results are identical for any thread count.
+  /// Worker threads for per-camera parallelism; 0 selects hardware
+  /// concurrency. When the cameras are fewer than the workers, each camera's
+  /// optical-flow rows are tiled across the idle ones. Results are identical
+  /// for any thread count.
   int threads = 0;
-  /// When the camera fleet is smaller than the pool, tile optical-flow rows
-  /// of each camera across the idle workers. Output-identical either way
-  /// (tiles write disjoint row ranges); off only for A/B latency studies.
-  bool tile_flow = true;
   /// kIdeal charges the closed-form LinkModel numbers (bit-exact with the
   /// pre-netsim pipeline); kLossy runs the discrete-event netsim transport.
   net::TransportKind transport = net::TransportKind::kIdeal;
@@ -159,20 +157,15 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = delete;
 
   /// Run `frames` evaluation frames and return the collected statistics.
-  /// Equivalent to calling run_frame() `frames` times; the returned result
-  /// covers exactly the frames of THIS call.
+  /// Equivalent to calling run_frame_ref() `frames` times; the returned
+  /// result covers exactly the frames of THIS call.
   PipelineResult run(int frames);
 
-  /// Stepwise entry point: advance exactly one evaluation frame and return
-  /// its statistics. Interleavable with other sessions by an embedding
-  /// runtime; run_frame x N is bit-identical to run(N).
-  FrameStats run_frame();
-
-  /// Allocation-free variant of run_frame(): advances one frame and returns
-  /// a reference to an internal FrameStats that is overwritten by the next
-  /// run_frame()/run_frame_ref()/run() call. The hot path for embeddings
-  /// (fleet serving) that poll stats every tick and must not copy the
-  /// per-camera vector.
+  /// Stepwise entry point: advance exactly one evaluation frame and return a
+  /// reference to its statistics, overwritten by the next run_frame_ref() or
+  /// run() call. Interleavable with other sessions by an embedding runtime
+  /// (fleet serving polls it every tick); allocation-free once warm, and
+  /// run_frame_ref x N is bit-identical to run(N).
   const FrameStats& run_frame_ref();
 
   /// Advance one evaluation frame WITHOUT processing it: the scenario
@@ -184,12 +177,12 @@ class Pipeline {
   /// warm.
   void skip_frame();
 
-  /// Ground truth of the most recently advanced frame (run_frame OR
+  /// Ground truth of the most recently advanced frame (run_frame_ref OR
   /// skip_frame). Valid until the next advance; undefined before the first.
   const sim::MultiFrame& current_frame() const;
 
   /// Per-camera boxes reported by the most recent PROCESSED frame (what
-  /// run_frame scored against recall). Not updated by skip_frame.
+  /// run_frame_ref scored against recall). Not updated by skip_frame.
   const std::vector<std::vector<geom::BBox>>& last_reported() const;
 
   /// Snapshot of everything run so far (all frames since construction, with
@@ -197,7 +190,7 @@ class Pipeline {
   PipelineResult result() const;
 
   /// Per-camera simulated-GPU demand of the most recent frame (empty before
-  /// the first frame). Valid until the next run_frame()/run() call.
+  /// the first frame). Valid until the next run_frame_ref()/run() call.
   const std::vector<CameraGpuWork>& last_gpu_work() const;
 
   std::size_t camera_count() const;
@@ -208,7 +201,7 @@ class Pipeline {
 
   /// Flip the tight_masks degraded mode at a frame boundary (fleet
   /// re-admission un-tightens a session's masks without rebuilding it).
-  /// Takes effect from the next run_frame(); a no-op when unchanged.
+  /// Takes effect from the next run_frame_ref(); a no-op when unchanged.
   void set_tight_masks(bool tight);
 
   /// Optionally record every scheduling decision (assignments, adoptions,

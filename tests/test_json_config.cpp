@@ -851,8 +851,7 @@ TEST(ConfigSchema, EveryPreviouslyDocumentedFlagIsStillAccepted) {
   // test_cli_help_lists_cli_options ctest.
   const std::pair<const char*, bool> kPinned[] = {
       {"scenario", false}, {"policy", false}, {"frames", false},
-      {"horizon", false}, {"seed", false}, {"no-tile-flow", true},
-      {"paired-rng", true}, {"verbose", true}, {"frame-policy", false},
+      {"horizon", false}, {"seed", false}, {"paired-rng", true}, {"verbose", true}, {"frame-policy", false},
       {"policy-model", false}, {"policy-staleness", false},
       {"policy-drift-px", false}, {"policy-threshold", false},
       {"policy-feature-trace", false}, {"slo-ms", false},
