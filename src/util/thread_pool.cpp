@@ -91,7 +91,12 @@ ThreadPool::~ThreadPool() {
   // Release: pairs with the workers' acquire loads of stopping_; everything
   // pushed before this point is drained before any worker exits.
   stopping_.store(true, std::memory_order_release);
-  wake_all();
+  // Release: a worker whose epoch snapshot or wait observes this bump also
+  // sees stopping_. Unlike wake_one() this needs no Dekker pairing, because
+  // the bump is unconditional: whichever side of it a worker's snapshot
+  // falls, that worker either sees stopping_ or returns from its wait.
+  wake_epoch_.fetch_add(1, std::memory_order_release);
+  wake_epoch_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
@@ -192,11 +197,10 @@ bool ThreadPool::pop_task(Task& out) {
     // Snapshot the epoch BEFORE announcing sleep: any wake issued after the
     // announcement bumps the epoch and the wait below returns immediately.
     const std::uint32_t epoch = wake_epoch_.load(std::memory_order_acquire);
-    sleepers_.fetch_add(1, std::memory_order_relaxed);
-    // Seq_cst fence: Dekker pairing with the producer's fence in wake_one().
+    // Seq_cst RMW: the sleeper's half of the Dekker pairing in wake_one().
     // Either our re-poll below sees the producer's push, or the producer's
-    // sleeper check sees our announcement — never neither.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // sleeper probe sees our announcement — never neither.
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
     if (queue_.try_pop(out)) {
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
       return true;
@@ -213,22 +217,26 @@ bool ThreadPool::pop_task(Task& out) {
 }
 
 void ThreadPool::wake_one() {
-  // Seq_cst fence: Dekker pairing with the sleeper's fence in pop_task()
-  // (see there). The push that preceded this call is already published by
-  // the ring's release store; this fence orders it against the sleeper read.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_relaxed) != 0) {
+  // The producer's half of the Dekker pairing: a seq_cst RMW (a probe that
+  // adds 0) after the push, against the sleeper's seq_cst fetch_add(1) in
+  // pop_task(). Both are read-modify-writes on sleepers_, which
+  // ThreadSanitizer models (it does not model a standalone fence). Every
+  // write to sleepers_ is an RMW, so each one continues the release
+  // sequence of every earlier one, and whichever of the two comes first in
+  // sleepers_'s modification order synchronizes with the other:
+  //  - probe first: the push happens before the sleeper's announcement, and
+  //    so before its re-poll, which finds the task (unless another worker
+  //    already took it);
+  //  - announcement first: the probe reads a count that includes this
+  //    sleeper (unless it has already left its wait), so it bumps the epoch
+  //    and notifies; the sleeper's epoch snapshot happens before the probe,
+  //    so it holds the old epoch and its wait returns.
+  if (sleepers_.fetch_add(0, std::memory_order_seq_cst) != 0) {
     // Release: the woken worker's acquire epoch load orders its re-poll
     // after the push.
     wake_epoch_.fetch_add(1, std::memory_order_release);
     wake_epoch_.notify_one();
   }
-}
-
-void ThreadPool::wake_all() {
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  wake_epoch_.fetch_add(1, std::memory_order_release);
-  wake_epoch_.notify_all();
 }
 
 void ThreadPool::finish_task() {

@@ -118,7 +118,6 @@ class ThreadPool {
   void push_task(const Task& task);  ///< blocking (backpressure) + wake
   bool pop_task(Task& out);          ///< spins, then eventcount sleep
   void wake_one();
-  void wake_all();
   void finish_task();  ///< in_flight_ decrement + wait_idle wakeup
   void release_group(TileGroup* group);
   void worker_loop();
@@ -129,9 +128,9 @@ class ThreadPool {
 
   // ---- eventcount (sleep/wake slow path; see DESIGN.md §11) ----
   // Workers announce themselves in sleepers_ before re-polling the ring;
-  // producers fence-then-check sleepers_ after pushing. The seq_cst
-  // fence/RMW pair guarantees at least one side sees the other (Dekker),
-  // so a push can never be missed by a worker committing to sleep.
+  // producers probe sleepers_ with an RMW after pushing. The seq_cst RMW
+  // pair guarantees at least one side sees the other (Dekker), so a push
+  // can never be missed by a worker committing to sleep.
   alignas(kCacheLineSize) std::atomic<std::uint32_t> sleepers_{0};
   alignas(kCacheLineSize) std::atomic<std::uint32_t> wake_epoch_{0};
   alignas(kCacheLineSize) std::atomic<std::size_t> in_flight_{0};

@@ -146,8 +146,9 @@ TEST_F(AssocFixture, AssociateAtMostOneDetectionPerCamera) {
       }
     for (const AssociatedObject& obj : associator_->associate(dets)) {
       for (std::size_t c = 0; c < 2; ++c) {
-        if (obj.det_index[c] >= 0)
+        if (obj.det_index[c] >= 0) {
           EXPECT_LT(obj.det_index[c], static_cast<int>(dets[c].size()));
+        }
       }
     }
   }

@@ -177,7 +177,9 @@ TEST(FleetPlane, ForcedMigrationConservesSessionStats) {
   long frames = 0, twin_frames = 0;
   for (const SessionSnapshot& s : done.sessions) {
     frames += s.frames;
-    if (s.handle == handles[0]) EXPECT_EQ(s.frames, 18);
+    if (s.handle == handles[0]) {
+      EXPECT_EQ(s.frames, 18);
+    }
   }
   for (const SessionSnapshot& s : twin_done.sessions) twin_frames += s.frames;
   EXPECT_EQ(frames, twin_frames);
@@ -227,8 +229,11 @@ TEST(FleetPlane, RebalanceScanMigratesOffTheHottestShard) {
                      snap.shard_rollups[1].sessions),
             1);
   // Migrated sessions kept serving every tick.
-  for (const SessionSnapshot& s : snap.sessions)
-    if (s.state == SessionState::kActive) EXPECT_EQ(s.frames, 20);
+  for (const SessionSnapshot& s : snap.sessions) {
+    if (s.state == SessionState::kActive) {
+      EXPECT_EQ(s.frames, 20);
+    }
+  }
 }
 
 TEST(FleetPlane, RebalanceScanWithoutAnImprovingMoveChangesNothing) {

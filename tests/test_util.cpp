@@ -170,7 +170,8 @@ TEST(SampleSet, EmptyIsZero) {
 TEST(Stopwatch, MeasuresElapsed) {
   Stopwatch sw;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i)
+    sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GE(sw.elapsed_ms(), 0.0);
 }
 
