@@ -1,16 +1,25 @@
 // Microbenchmarks (google-benchmark) for the kernels on the per-frame
 // critical path: Hungarian matching, KNN queries, optical flow, the central
-// BALB stage, greedy batch planning, and message serialization.
+// BALB stage, greedy batch planning, and message serialization; plus the
+// pipeline's set-up kernels: association training and the cell caches.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+
+#include "assoc/association.hpp"
 #include "core/central_balb.hpp"
 #include "gpu/batch_planner.hpp"
 #include "matching/hungarian.hpp"
 #include "ml/kdtree.hpp"
 #include "ml/knn.hpp"
 #include "net/messages.hpp"
+#include "runtime/oracles.hpp"
+#include "sim/dataset.hpp"
+#include "sim/scenario.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "vision/optical_flow.hpp"
 #include "vision/renderer.hpp"
 
@@ -237,6 +246,55 @@ void BM_DetectionListEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectionListEncode)->Arg(10)->Arg(100);
+
+/// The pipeline's association training split: the default 250 frames
+/// after a 45 s warmup, seed 42. Arg 0 selects S1 (5 cameras), arg 1 a
+/// 30-camera city grid.
+struct TrainingSet {
+  std::vector<sim::MultiFrame> frames;
+  std::vector<std::pair<double, double>> sizes;
+
+  explicit TrainingSet(std::int64_t which) {
+    sim::CityConfig city;
+    city.cameras = 30;
+    const std::string name = which == 0 ? "S1" : sim::city_scenario_name(city);
+    sim::ScenarioPlayer player(sim::make_scenario(name, 42), 45.0);
+    frames = player.take(250);
+    for (const sim::ScenarioCamera& cam : player.scenario().cameras)
+      sizes.emplace_back(cam.model.width(), cam.model.height());
+  }
+};
+
+const char* training_label(std::int64_t which) {
+  return which == 0 ? "S1" : "city30";
+}
+
+void BM_AssociatorTrain(benchmark::State& state) {
+  const TrainingSet set(state.range(0));
+  for (auto _ : state) {
+    assoc::CrossCameraAssociator associator(set.sizes);
+    associator.train(set.frames);
+    benchmark::DoNotOptimize(&associator);
+  }
+  state.SetLabel(training_label(state.range(0)));
+}
+BENCHMARK(BM_AssociatorTrain)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// Every camera's 64-px cell cache on a one-worker pool (the caller takes
+/// tiles too, so up to two threads fill it).
+void BM_CellCache(benchmark::State& state) {
+  const TrainingSet set(state.range(0));
+  assoc::CrossCameraAssociator associator(set.sizes);
+  associator.train(set.frames);
+  util::ThreadPool pool(1);
+  for (auto _ : state) {
+    const auto caches = runtime::build_cell_caches(associator, set.sizes, 64,
+                                                   pool);
+    benchmark::DoNotOptimize(caches.data());
+  }
+  state.SetLabel(training_label(state.range(0)));
+}
+BENCHMARK(BM_CellCache)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "matching/hungarian.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mvs::assoc {
 
@@ -30,16 +31,30 @@ geom::BBox feature_box(const ml::Feature& f, double frame_w, double frame_h) {
                                  f[2] * frame_w, f[3] * frame_h);
 }
 
-PairDataset build_pair_dataset(const std::vector<sim::MultiFrame>& frames,
-                               std::size_t src_cam, std::size_t dst_cam,
-                               double src_w, double src_h, double dst_w,
-                               double dst_h) {
-  PairDataset ds;
+namespace {
+
+/// Features of every box on camera src, frame by frame: the inputs shared by
+/// all pairs out of src.
+std::vector<ml::Feature> source_features(
+    const std::vector<sim::MultiFrame>& frames, std::size_t src_cam,
+    double src_w, double src_h) {
+  std::vector<ml::Feature> x;
+  for (const sim::MultiFrame& frame : frames)
+    for (const detect::GroundTruthObject& obj : frame.per_camera[src_cam])
+      x.push_back(box_feature(obj.box, src_w, src_h));
+  return x;
+}
+
+/// Labels `x` = source_features(src) against camera dst: fills
+/// ds.present, ds.x_pos and ds.y_pos (ds.x is left alone).
+void label_pair(const std::vector<sim::MultiFrame>& frames,
+                std::size_t src_cam, std::size_t dst_cam, double dst_w,
+                double dst_h, const std::vector<ml::Feature>& x,
+                PairDataset& ds) {
+  std::size_t row = 0;
   for (const sim::MultiFrame& frame : frames) {
-    const auto& src = frame.per_camera[src_cam];
     const auto& dst = frame.per_camera[dst_cam];
-    for (const detect::GroundTruthObject& obj : src) {
-      ds.x.push_back(box_feature(obj.box, src_w, src_h));
+    for (const detect::GroundTruthObject& obj : frame.per_camera[src_cam]) {
       const detect::GroundTruthObject* match = nullptr;
       for (const detect::GroundTruthObject& cand : dst) {
         if (cand.id == obj.id) {
@@ -49,11 +64,37 @@ PairDataset build_pair_dataset(const std::vector<sim::MultiFrame>& frames,
       }
       ds.present.push_back(match ? 1 : 0);
       if (match) {
-        ds.x_pos.push_back(ds.x.back());
+        ds.x_pos.push_back(x[row]);
         ds.y_pos.push_back(box_feature(match->box, dst_w, dst_h));
       }
+      ++row;
     }
   }
+}
+
+/// Neighbours of `box` (a box on a frame_w x frame_h camera) in that
+/// camera's index. Per-thread scratch, overwritten by the next call on the
+/// same thread: presence queries run per detection pair on key frames, per
+/// ghost per frame on pool workers and per cell at set-up, and must stay
+/// allocation-free once warm (DESIGN.md §11).
+const ml::Neighbours& search(const ml::KnnIndex& index, const geom::BBox& box,
+                             double frame_w, double frame_h, int k) {
+  thread_local ml::Feature feat;
+  thread_local ml::Neighbours nn;
+  box_feature_into(box, frame_w, frame_h, feat);
+  index.search(feat, k, nn);
+  return nn;
+}
+
+}  // namespace
+
+PairDataset build_pair_dataset(const std::vector<sim::MultiFrame>& frames,
+                               std::size_t src_cam, std::size_t dst_cam,
+                               double src_w, double src_h, double dst_w,
+                               double dst_h) {
+  PairDataset ds;
+  ds.x = source_features(frames, src_cam, src_w, src_h);
+  label_pair(frames, src_cam, dst_cam, dst_w, dst_h, ds.x, ds);
   return ds;
 }
 
@@ -65,27 +106,36 @@ CrossCameraAssociator::CrossCameraAssociator(
     std::vector<std::pair<double, double>> frame_sizes, Config cfg)
     : cfg_(cfg), sizes_(std::move(frame_sizes)) {
   assert(!sizes_.empty());
+  sources_.resize(sizes_.size());
   pairs_.resize(sizes_.size() * sizes_.size());
 }
 
-void CrossCameraAssociator::train(const std::vector<sim::MultiFrame>& frames) {
+void CrossCameraAssociator::train(const std::vector<sim::MultiFrame>& frames,
+                                  util::ThreadPool* pool) {
   const std::size_t m = sizes_.size();
-  for (std::size_t i = 0; i < m; ++i) {
+  // Source i writes only sources_[i] and the pairs (i, *).
+  auto train_source = [&](std::size_t i) {
+    const std::vector<ml::Feature> x =
+        source_features(frames, i, sizes_[i].first, sizes_[i].second);
+    if (x.empty()) return;
+    sources_[i].fit(x);
     for (std::size_t j = 0; j < m; ++j) {
       if (i == j) continue;
-      const PairDataset ds =
-          build_pair_dataset(frames, i, j, sizes_[i].first, sizes_[i].second,
-                             sizes_[j].first, sizes_[j].second);
+      PairDataset ds;
+      label_pair(frames, i, j, sizes_[j].first, sizes_[j].second, x, ds);
       PairModels& models = pairs_[pair_index(i, j)];
-      if (ds.x.empty()) continue;
-      models.cls = std::make_unique<ml::KnnClassifier>(cfg_.knn_k);
-      models.cls->fit(ds.x, ds.present);
+      models.present = std::move(ds.present);
       if (ds.x_pos.size() >= 3) {
         models.reg = std::make_unique<ml::KnnRegressor>(cfg_.knn_k);
         models.reg->fit(ds.x_pos, ds.y_pos);
         models.has_positives = true;
       }
     }
+  };
+  if (pool) {
+    pool->parallel_for_each(m, train_source);
+  } else {
+    for (std::size_t i = 0; i < m; ++i) train_source(i);
   }
   trained_ = true;
 }
@@ -93,20 +143,34 @@ void CrossCameraAssociator::train(const std::vector<sim::MultiFrame>& frames) {
 bool CrossCameraAssociator::predict_present(std::size_t src, std::size_t dst,
                                             const geom::BBox& box) const {
   const PairModels& models = pairs_[pair_index(src, dst)];
-  if (!models.cls || !models.has_positives) return false;
-  // Per-thread scratch: called per ghost per frame from pool workers
-  // (takeover pass); must stay allocation-free once warm (DESIGN.md §11).
-  thread_local ml::Feature feat;
-  box_feature_into(box, sizes_[src].first, sizes_[src].second, feat);
-  return models.cls->predict(feat);
+  if (!models.has_positives) return false;
+  const ml::Neighbours& nn = search(sources_[src], box, sizes_[src].first,
+                                    sizes_[src].second, cfg_.knn_k);
+  return ml::knn_vote(nn, models.present) > 0.0;
+}
+
+void CrossCameraAssociator::present_on(std::size_t src, const geom::BBox& box,
+                                       std::vector<char>& out) const {
+  const std::size_t m = sizes_.size();
+  out.assign(m, 0);
+  out[src] = 1;
+  if (sources_[src].empty()) return;
+  const ml::Neighbours& nn = search(sources_[src], box, sizes_[src].first,
+                                    sizes_[src].second, cfg_.knn_k);
+  for (std::size_t dst = 0; dst < m; ++dst) {
+    const PairModels& models = pairs_[pair_index(src, dst)];
+    if (dst != src && models.has_positives)
+      out[dst] = ml::knn_vote(nn, models.present) > 0.0 ? 1 : 0;
+  }
 }
 
 geom::BBox CrossCameraAssociator::predict_box(std::size_t src, std::size_t dst,
                                               const geom::BBox& box) const {
   const PairModels& models = pairs_[pair_index(src, dst)];
   assert(models.reg);
-  const ml::Feature pred = models.reg->predict(
-      box_feature(box, sizes_[src].first, sizes_[src].second));
+  thread_local ml::Feature feat, pred;
+  box_feature_into(box, sizes_[src].first, sizes_[src].second, feat);
+  models.reg->predict_into(feat, pred);
   return feature_box(pred, sizes_[dst].first, sizes_[dst].second);
 }
 
@@ -138,7 +202,7 @@ std::vector<AssociatedObject> CrossCameraAssociator::associate(
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = i + 1; j < m; ++j) {
       const PairModels& models = pairs_[pair_index(i, j)];
-      if (!models.cls || !models.has_positives || !trained_) continue;
+      if (!models.has_positives || !trained_) continue;
       const auto& src = detections[i];
       const auto& dst = detections[j];
       if (src.empty() || dst.empty()) continue;

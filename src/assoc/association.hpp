@@ -9,6 +9,12 @@
 // Both models are trained offline from labelled synchronized frames — in
 // this reproduction, ground truth from the world simulator plays the role
 // of the human association labels.
+//
+// Every pair out of camera i trains on the same inputs (camera i's boxes),
+// so the classifiers of those pairs share one scaled KNN index per source
+// camera and differ only in their labels: one neighbour search answers
+// "which cameras also see this box" for every destination at once
+// (present_on), with the votes each per-pair classifier would cast.
 
 #include <cstdint>
 #include <memory>
@@ -18,6 +24,10 @@
 #include "geometry/bbox.hpp"
 #include "ml/knn.hpp"
 #include "sim/dataset.hpp"
+
+namespace mvs::util {
+class ThreadPool;
+}
 
 namespace mvs::assoc {
 
@@ -69,8 +79,11 @@ class CrossCameraAssociator {
   CrossCameraAssociator(std::vector<std::pair<double, double>> frame_sizes,
                         Config cfg);
 
-  /// Train all ordered-pair models from labelled frames.
-  void train(const std::vector<sim::MultiFrame>& frames);
+  /// Train all ordered-pair models from labelled frames. With a pool, the
+  /// source cameras train in parallel; each writes only its own models, so
+  /// the result does not depend on the pool.
+  void train(const std::vector<sim::MultiFrame>& frames,
+             util::ThreadPool* pool = nullptr);
   bool trained() const { return trained_; }
 
   std::size_t camera_count() const { return sizes_.size(); }
@@ -78,6 +91,12 @@ class CrossCameraAssociator {
   /// Does an object at `box` on camera src (probably) appear on camera dst?
   bool predict_present(std::size_t src, std::size_t dst,
                        const geom::BBox& box) const;
+
+  /// predict_present for every destination from one neighbour search:
+  /// out[dst] != 0 iff predict_present(src, dst, box), and out[src] = 1.
+  /// `out` is resized to camera_count().
+  void present_on(std::size_t src, const geom::BBox& box,
+                  std::vector<char>& out) const;
 
   /// Predicted box of the object on camera dst.
   geom::BBox predict_box(std::size_t src, std::size_t dst,
@@ -91,8 +110,11 @@ class CrossCameraAssociator {
   const Config& config() const { return cfg_; }
 
  private:
+  /// One ordered pair's models. The classifier is the source camera's
+  /// index voting `present`; the pair answers "absent" unless it has the
+  /// positives to fit its regressor.
   struct PairModels {
-    std::unique_ptr<ml::KnnClassifier> cls;
+    std::vector<int> present;  ///< label per source-index row
     std::unique_ptr<ml::KnnRegressor> reg;
     bool has_positives = false;
   };
@@ -103,6 +125,8 @@ class CrossCameraAssociator {
 
   Config cfg_{};
   std::vector<std::pair<double, double>> sizes_;
+  /// Per source camera; empty when that camera had no training boxes.
+  std::vector<ml::KnnIndex> sources_;
   std::vector<PairModels> pairs_;  ///< dense M x M (diagonal unused)
   bool trained_ = false;
 };

@@ -1,12 +1,13 @@
 #pragma once
 // Exact k-nearest-neighbor search over a static point set via a kd-tree.
 //
-// The association models issue thousands of KNN queries per key frame
-// (every detection x every camera pair, plus the one-off cell-coverage
-// cache); brute force is O(n) per query, the kd-tree is ~O(log n) for the
-// low-dimensional (4-D box feature) points used here. Results are exact and
-// identical to brute force — verified by tests — so KnnClassifier /
-// KnnRegressor can use it transparently.
+// The association models issue thousands of KNN queries: presence and
+// location queries for the detections of every key frame, a presence query
+// per ghost per regular frame, and one per mask cell at set-up (one tree
+// per source camera serves every destination's presence vote). Brute force
+// is O(n) per query, the kd-tree is ~O(log n) for the low-dimensional (4-D
+// box feature) points used here. Results are exact and identical to brute
+// force — verified by tests — so KnnIndex can use it transparently.
 
 #include <cstddef>
 #include <vector>

@@ -32,29 +32,41 @@ std::vector<std::size_t> k_nearest(const std::vector<Feature>& xs,
   return idx;
 }
 
+void KnnIndex::fit(const std::vector<Feature>& xs) {
+  assert(!xs.empty());
+  scaler_.fit(xs);
+  tree_ = KdTree(scaler_.transform_all(xs));
+}
+
+void KnnIndex::search(const Feature& x, int k, Neighbours& out) const {
+  assert(!tree_.empty());
+  scaler_.transform_into(x, out.query);
+  tree_.nearest_into(out.query, k, out.heap, out.index);
+  out.weight.clear();
+  for (std::size_t i : out.index)
+    out.weight.push_back(
+        1.0 / (1e-6 + std::sqrt(sq_dist(tree_.point(i), out.query))));
+}
+
+double knn_vote(const Neighbours& nn, const std::vector<int>& labels) {
+  double pos = 0.0, neg = 0.0;
+  for (std::size_t n = 0; n < nn.index.size(); ++n)
+    (labels[nn.index[n]] ? pos : neg) += nn.weight[n];
+  return pos - neg;
+}
+
 void KnnClassifier::fit(const std::vector<Feature>& xs,
                         const std::vector<int>& labels) {
   assert(xs.size() == labels.size() && !xs.empty());
-  scaler_.fit(xs);
-  tree_ = KdTree(scaler_.transform_all(xs));
+  index_.fit(xs);
   labels_ = labels;
 }
 
 double KnnClassifier::decision(const Feature& x) const {
-  assert(!tree_.empty());
-  // Per-thread scratch: decision() runs per ghost per frame on pipeline
-  // pool workers, and must stay allocation-free once warm (DESIGN.md §11).
-  thread_local Feature q;
-  thread_local std::vector<std::pair<double, std::size_t>> heap;
-  thread_local std::vector<std::size_t> nn;
-  scaler_.transform_into(x, q);
-  tree_.nearest_into(q, k_, heap, nn);
-  double pos = 0.0, neg = 0.0;
-  for (std::size_t i : nn) {
-    const double w = 1.0 / (1e-6 + std::sqrt(sq_dist(tree_.point(i), q)));
-    (labels_[i] ? pos : neg) += w;
-  }
-  return pos - neg;
+  // Per-thread scratch: keeps warm calls allocation-free (DESIGN.md §11).
+  thread_local Neighbours nn;
+  index_.search(x, k_, nn);
+  return knn_vote(nn, labels_);
 }
 
 bool KnnClassifier::predict(const Feature& x) const {
@@ -64,24 +76,30 @@ bool KnnClassifier::predict(const Feature& x) const {
 void KnnRegressor::fit(const std::vector<Feature>& xs,
                        const std::vector<Feature>& ys) {
   assert(xs.size() == ys.size() && !xs.empty());
-  scaler_.fit(xs);
-  tree_ = KdTree(scaler_.transform_all(xs));
+  index_.fit(xs);
   ys_ = ys;
 }
 
 Feature KnnRegressor::predict(const Feature& x) const {
-  assert(!tree_.empty());
-  const Feature q = scaler_.transform(x);
-  const auto nn = tree_.nearest(q, k_);
-  Feature out(ys_.front().size(), 0.0);
+  Feature out;
+  predict_into(x, out);
+  return out;
+}
+
+void KnnRegressor::predict_into(const Feature& x, Feature& out) const {
+  // Per-thread scratch: runs for every present detection in association
+  // and every non-canonical cell key, so warm calls must not allocate.
+  thread_local Neighbours nn;
+  index_.search(x, k_, nn);
+  out.assign(ys_.front().size(), 0.0);
   double wsum = 0.0;
-  for (std::size_t i : nn) {
-    const double w = 1.0 / (1e-6 + std::sqrt(sq_dist(tree_.point(i), q)));
+  for (std::size_t n = 0; n < nn.index.size(); ++n) {
+    const double w = nn.weight[n];
     wsum += w;
-    for (std::size_t d = 0; d < out.size(); ++d) out[d] += w * ys_[i][d];
+    for (std::size_t d = 0; d < out.size(); ++d)
+      out[d] += w * ys_[nn.index[n]][d];
   }
   for (double& v : out) v /= wsum;
-  return out;
 }
 
 double mean_absolute_error(const VectorRegressor& model,

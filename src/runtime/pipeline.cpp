@@ -132,6 +132,7 @@ struct CameraNode {
     std::vector<detect::Detection> nms_kept;
     track::FlowTracker::UpdateResult update;
     std::vector<Ghost> ghosts_kept;  ///< takeover_pass survivor buffer
+    std::vector<char> present;       ///< takeover_pass: cameras seeing a ghost
     std::vector<int> visible;        ///< takeover_pass successor electorate
     std::vector<track::Track> pre_update;  ///< policy mode: lost-list source
   };
@@ -245,8 +246,9 @@ struct Pipeline::Impl {
         player.take(cfg.training_frames);
     if (needs_association()) {
       associator = std::make_unique<assoc::CrossCameraAssociator>(frame_sizes);
-      associator->train(training);
-      build_cell_cache(frame_sizes);
+      associator->train(training, &pool);
+      cell_cache = build_cell_caches(*associator, frame_sizes,
+                                     cfg.mask_cell_px, pool);
     }
 
     // ReXCam-style correlation gate: learn entry cameras and pairwise
@@ -291,46 +293,17 @@ struct Pipeline::Impl {
            cfg.policy == Policy::kStaticPartition;
   }
 
-  /// Static per-deployment cell oracles: cell coverage sets and region keys
-  /// depend only on camera poses, so they are computed once from the trained
-  /// models and reused by every horizon's mask construction.
-  void build_cell_cache(
-      const std::vector<std::pair<double, double>>& frame_sizes) {
-    const core::CellCoverageFn cov = make_coverage_oracle(*associator);
-    const core::RegionKeyFn key = make_region_key_oracle(*associator);
-    for (std::size_t i = 0; i < cameras.size(); ++i) {
-      CellCache cache{geom::Grid(static_cast<int>(frame_sizes[i].first),
-                                 static_cast<int>(frame_sizes[i].second),
-                                 cfg.mask_cell_px),
-                      {},
-                      {}};
-      cache.coverage.resize(cache.grid.cell_count());
-      cache.region_key.resize(cache.grid.cell_count());
-      for (int r = 0; r < cache.grid.rows(); ++r) {
-        for (int c = 0; c < cache.grid.cols(); ++c) {
-          const geom::CellIndex cell{c, r};
-          const geom::Vec2 center = cache.grid.cell_box(cell).center();
-          cache.coverage[cache.grid.flat(cell)] =
-              cov(static_cast<int>(i), center);
-          cache.region_key[cache.grid.flat(cell)] =
-              key(static_cast<int>(i), center);
-        }
-      }
-      cell_cache.push_back(std::move(cache));
-    }
-  }
-
   core::CellCoverageFn cached_coverage() const {
     return [this](int cam, geom::Vec2 center) {
       const CellCache& cache = cell_cache[static_cast<std::size_t>(cam)];
-      return cache.coverage[cache.grid.flat(cache.grid.cell_at(center))];
+      return cache.coverage[cache.cell_of(center)];
     };
   }
 
   core::RegionKeyFn cached_region_key() const {
     return [this](int cam, geom::Vec2 center) {
       const CellCache& cache = cell_cache[static_cast<std::size_t>(cam)];
-      return cache.region_key[cache.grid.flat(cache.grid.cell_at(center))];
+      return cache.region_key[cache.cell_of(center)];
     };
   }
 
@@ -377,8 +350,7 @@ struct Pipeline::Impl {
     }
     if (!owns || !cfg.tight_masks || cell_cache.empty()) return owns;
     const CellCache& cache = cell_cache[static_cast<std::size_t>(cam)];
-    return cache.coverage[cache.grid.flat(cache.grid.cell_at(box.center()))]
-               .size() <= 1;
+    return cache.coverage[cache.cell_of(box.center())].size() <= 1;
   }
 
   /// Apply the transport's dropout schedule to the camera fleet. A camera
@@ -1072,15 +1044,15 @@ struct Pipeline::Impl {
     kept.clear();
     for (Ghost& g : cam.ghosts) {
       if (cam.left_view(g.box)) continue;  // left my view too; drop
+      // One neighbour search answers both questions below.
+      std::vector<char>& present = cam.step.present;
+      associator->present_on(i, g.box, present);
       // A dropped-out assigned camera definitely lost the object — the
       // model prediction only matters while the device is alive.
       const bool assigned_sees =
           g.assigned_cam >= 0 &&
           active[static_cast<std::size_t>(g.assigned_cam)] &&
-          (g.assigned_cam == cam.index ||
-           associator->predict_present(i,
-                                       static_cast<std::size_t>(g.assigned_cam),
-                                       g.box));
+          present[static_cast<std::size_t>(g.assigned_cam)];
       if (assigned_sees) {
         kept.push_back(g);
         continue;
@@ -1091,8 +1063,7 @@ struct Pipeline::Impl {
       visible.clear();
       visible.push_back(cam.index);
       for (std::size_t i2 = 0; i2 < cameras.size(); ++i2) {
-        if (i2 == i || !active[i2]) continue;
-        if (associator->predict_present(i, i2, g.box))
+        if (i2 != i && active[i2] && present[i2])
           visible.push_back(static_cast<int>(i2));
       }
       const int successor = distributed.takeover_camera(visible);
@@ -1180,11 +1151,6 @@ struct Pipeline::Impl {
   /// mutated only between frames (refresh_active), read by parallel steps.
   std::vector<char> active;
 
-  struct CellCache {
-    geom::Grid grid;
-    std::vector<std::vector<int>> coverage;
-    std::vector<std::uint64_t> region_key;
-  };
   std::vector<CellCache> cell_cache;
 
   core::DistributedStage distributed;

@@ -32,9 +32,8 @@ TEST(Oracles, CoverageIncludesSelfAndIsSorted) {
   const auto frames = player.take(120);
   assoc::CrossCameraAssociator associator({{1280, 704}, {1280, 704}});
   associator.train(frames);
-  const auto coverage = make_coverage_oracle(associator);
   for (double x = 50; x < 1280; x += 300) {
-    const auto cover = coverage(0, {x, 400});
+    const auto cover = coverage_of(associator, 0, {x, 400});
     EXPECT_FALSE(cover.empty());
     EXPECT_TRUE(std::find(cover.begin(), cover.end(), 0) != cover.end());
     EXPECT_TRUE(std::is_sorted(cover.begin(), cover.end()));
@@ -46,10 +45,13 @@ TEST(Oracles, RegionKeyDeterministic) {
   const auto frames = player.take(120);
   assoc::CrossCameraAssociator associator({{1280, 704}, {1280, 704}});
   associator.train(frames);
-  const auto key = make_region_key_oracle(associator);
-  EXPECT_EQ(key(0, {200, 300}), key(0, {200, 300}));
+  const auto key = [&](geom::Vec2 center) {
+    return region_key_of(associator, 0, center,
+                         coverage_of(associator, 0, center));
+  };
+  EXPECT_EQ(key({200, 300}), key({200, 300}));
   // Nearby points in the same 64-px cell share the key.
-  EXPECT_EQ(key(0, {200, 300}), key(0, {205, 305}));
+  EXPECT_EQ(key({200, 300}), key({205, 305}));
 }
 
 class PolicyRuns : public ::testing::TestWithParam<Policy> {};
