@@ -249,6 +249,7 @@ SessionRecord* Shard::admit(const SessionSpec& spec, AdmitResult* out) {
   }
   session->burn.configure(make_burn_config(cfg_));
   session->devices = devices;
+  session->carryover.resize(devices.size());
   session->static_demand_ms =
       estimate_demand_ms(session->devices, session->spec.pipeline);
   session->placement_demand_ms = demand;
@@ -529,14 +530,13 @@ void Shard::step() {
         s->pipeline ? s->pipeline->last_gpu_work() : s->synth->last_gpu_work();
     for (std::size_t cam = 0; cam < work.size(); ++cam) {
       const int cam_id = static_cast<int>(cam);
-      const auto debt = s->carryover.find(cam_id);
-      if (debt != s->carryover.end() && !debt->second.empty()) {
+      std::vector<geom::SizeClassId>& debt = s->carryover[cam];
+      if (!debt.empty()) {
         runtime::CameraGpuWork& merged = merged_scratch_;
         merged.full_frame = work[cam].full_frame;
         merged.tasks.assign(work[cam].tasks.begin(), work[cam].tasks.end());
-        merged.tasks.insert(merged.tasks.end(), debt->second.begin(),
-                            debt->second.end());
-        debt->second.clear();
+        merged.tasks.insert(merged.tasks.end(), debt.begin(), debt.end());
+        debt.clear();
         arbiter_.submit(s->id, cam_id, s->devices[cam], merged,
                         s->spec.weight);
       } else {
@@ -586,7 +586,7 @@ void Shard::step() {
   for (const DeferredSlice& slice : plan.deferred) {
     SessionRecord* owner = find(slice.session);
     if (!owner || owner->state == SessionState::kEvicted) continue;
-    auto& debt = owner->carryover[slice.camera];
+    auto& debt = owner->carryover[static_cast<std::size_t>(slice.camera)];
     debt.insert(debt.end(), static_cast<std::size_t>(slice.count),
                 slice.size_class);
     record(runtime::TraceEventType::kBatchSplit, slice.session,

@@ -92,8 +92,8 @@ struct SessionRecord {
   /// admit/evict/detach/attach so the aggregate stays incremental-exact).
   double placement_demand_ms = 0.0;
   /// Batch-split debt: tasks deferred to this session's next stepped
-  /// submission, per camera.
-  std::map<int, std::vector<geom::SizeClassId>> carryover;
+  /// submission, indexed by camera (one entry per device, sized at admit).
+  std::vector<std::vector<geom::SizeClassId>> carryover;
 
   /// Shard the session migrated FROM most recently (-1 = never migrated).
   /// Travels with the record so post-migration trace events keep their

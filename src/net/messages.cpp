@@ -2,6 +2,14 @@
 
 namespace mvs::net {
 
+namespace {
+// Wire sizes of the fixed-width fields ByteWriter emits.
+constexpr std::size_t kU32Bytes = 4;
+constexpr std::size_t kU64Bytes = 8;
+// bbox (4 x f64) + cls (i32) + score (f64) + truth_id (u64).
+constexpr std::size_t kDetectionWireBytes = 4 * 8 + 4 + 8 + 8;
+}  // namespace
+
 std::vector<std::uint8_t> DetectionListMsg::encode() const {
   ByteWriter w;
   w.u32(camera_id);
@@ -14,6 +22,11 @@ std::vector<std::uint8_t> DetectionListMsg::encode() const {
     w.u64(d.truth_id);
   }
   return w.bytes();
+}
+
+std::size_t DetectionListMsg::encoded_size() const {
+  return kU32Bytes + kU64Bytes + kU32Bytes +
+         detections.size() * kDetectionWireBytes;
 }
 
 std::optional<DetectionListMsg> DetectionListMsg::decode(
@@ -29,7 +42,6 @@ std::optional<DetectionListMsg> DetectionListMsg::decode(
   // Each detection occupies 52 bytes on the wire; a count that cannot fit in
   // the remaining payload is a malformed (or hostile) message — reject it
   // before allocating anything.
-  constexpr std::size_t kDetectionWireBytes = 4 * 8 + 4 + 8 + 8;
   if (static_cast<std::size_t>(*count) * kDetectionWireBytes > r.remaining())
     return std::nullopt;
   msg.detections.reserve(*count);
@@ -59,6 +71,12 @@ std::vector<std::uint8_t> AssignmentMsg::encode() const {
   w.u32(static_cast<std::uint32_t>(priority_order.size()));
   for (std::uint32_t c : priority_order) w.u32(c);
   return w.bytes();
+}
+
+std::size_t AssignmentMsg::encoded_size() const {
+  return kU32Bytes + kU64Bytes + kU32Bytes +
+         assigned_keys.size() * kU64Bytes + kU32Bytes +
+         priority_order.size() * kU32Bytes;
 }
 
 std::optional<AssignmentMsg> AssignmentMsg::decode(

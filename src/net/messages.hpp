@@ -15,6 +15,8 @@ struct DetectionListMsg {
   std::vector<detect::Detection> detections;
 
   std::vector<std::uint8_t> encode() const;
+  /// encode().size(), computed without serializing.
+  std::size_t encoded_size() const;
   static std::optional<DetectionListMsg> decode(
       const std::vector<std::uint8_t>& bytes);
 };
@@ -30,6 +32,8 @@ struct AssignmentMsg {
   std::vector<std::uint32_t> priority_order;
 
   std::vector<std::uint8_t> encode() const;
+  /// encode().size(), computed without serializing.
+  std::size_t encoded_size() const;
   static std::optional<AssignmentMsg> decode(
       const std::vector<std::uint8_t>& bytes);
 };

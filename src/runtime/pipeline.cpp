@@ -420,7 +420,7 @@ struct Pipeline::Impl {
                                   static_cast<std::uint64_t>(mf.frame_index),
                                   full_dets_[i]};
         transport->send_uplink(eval_frame, static_cast<int>(i),
-                               msg.encode().size());
+                               msg.encoded_size());
       }
       central_stage(mf, eval_frame, stats);
     }
@@ -565,7 +565,7 @@ struct Pipeline::Impl {
       for (std::size_t j = 0; j < objects; ++j)
         if (assignment.x[i][j]) msg.assigned_keys.push_back(j);
       transport->send_downlink(eval_frame, static_cast<int>(i),
-                               msg.encode().size());
+                               msg.encoded_size());
     }
     net::CycleReport report = transport->finish_cycle(eval_frame);
     if (trace) {
@@ -1106,9 +1106,8 @@ struct Pipeline::Impl {
           1, static_cast<int>(sizes.size_of(s.size_class) / cam.render_scale));
       const int x0 = static_cast<int>(s.roi.x / cam.render_scale);
       const int y0 = static_cast<int>(s.roi.y / cam.render_scale);
-      for (int y = 0; y < side; ++y)
-        for (int x = 0; x < side; ++x)
-          cam.batch_buffer[offset++] = frame.at_clamped(x0 + x, y0 + y);
+      frame.copy_clamped(x0, y0, side, side, cam.batch_buffer.data() + offset);
+      offset += static_cast<std::size_t>(side) * static_cast<std::size_t>(side);
     }
   }
 

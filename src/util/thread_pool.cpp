@@ -5,6 +5,11 @@
 
 namespace mvs::util {
 
+namespace {
+/// Nesting level of the tile this thread is running; 0 outside any tile.
+thread_local std::uint32_t t_depth = 0;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0)
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -26,7 +31,7 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::run_submitted(void* arg) {
   std::unique_ptr<std::function<void()>> fn(
       static_cast<std::function<void()>*>(arg));
-  (*fn)();  // may throw: worker_loop captures into first_error_
+  (*fn)();  // may throw: run_task captures into first_error_
 }
 
 void ThreadPool::wait_idle() {
@@ -55,6 +60,7 @@ struct ThreadPool::TileGroup {
   std::atomic<std::uint32_t> done{0};     ///< caller's atomic-wait target
   std::atomic<std::uint32_t> refs{0};     ///< recycle gate
   std::size_t n = 0;
+  std::uint32_t depth = 0;  ///< nesting level: the caller's t_depth + 1
   void (*invoke)(void*, std::size_t) = nullptr;
   void* fn = nullptr;
   ThreadPool* pool = nullptr;
@@ -68,12 +74,14 @@ struct ThreadPool::TileGroup {
       // owned by i, and completion ordering goes through `completed`.
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
+      const std::uint32_t outer = std::exchange(t_depth, depth);
       try {
         invoke(fn, i);
       } catch (...) {
         std::lock_guard lock(error_mu);
         if (!error) error = std::current_exception();
       }
+      t_depth = outer;
       // Acq_rel: release publishes fn(i)'s writes to whichever thread
       // observes this tile as completed; acquire makes the final increment
       // see every earlier tile's writes before flipping `done`.
@@ -125,6 +133,7 @@ void ThreadPool::run_tiles_erased(std::size_t n,
   group->completed.store(0, std::memory_order_relaxed);
   group->done.store(0, std::memory_order_relaxed);
   group->n = n;
+  group->depth = t_depth + 1;
   group->invoke = invoke;
   group->fn = fn;
   group->pool = this;
@@ -139,7 +148,7 @@ void ThreadPool::run_tiles_erased(std::size_t n,
   for (std::size_t h = 0; h < helpers; ++h) {
     group->refs.fetch_add(1, std::memory_order_relaxed);
     in_flight_.fetch_add(1, std::memory_order_relaxed);
-    if (!queue_.try_push(Task{&run_helper, group})) {
+    if (!queue_.try_push(Task{&run_helper, group, group->depth})) {
       group->refs.fetch_sub(1, std::memory_order_relaxed);
       finish_task();
       break;
@@ -149,10 +158,27 @@ void ThreadPool::run_tiles_erased(std::size_t n,
 
   group->work();
   // The caller ran out of tiles, but helpers may still be finishing theirs.
-  for (;;) {
-    // Acquire pairs with the finisher's release store of done.
-    if (group->done.load(std::memory_order_acquire) != 0) break;
-    group->done.wait(0, std::memory_order_acquire);
+  // Rather than park, it runs queued helpers of groups at its own nesting
+  // level or deeper through the workers' task body. A task from an outer
+  // level (a whole session while this waits on one camera's rows) could
+  // hold the caller long after its group is done, so it goes back on the
+  // queue for a worker. Only a queue with nothing to help, after a brief
+  // spin, sends the caller to sleep on `done`.
+  int idle_spins = 0;
+  Task task;
+  // Acquire pairs with the finisher's release store of done.
+  while (group->done.load(std::memory_order_acquire) == 0) {
+    const bool popped = queue_.try_pop(task);
+    if (popped && (task.depth >= group->depth || !queue_.try_push(task))) {
+      run_task(task);  // also when the ring refilled and it cannot go back
+      idle_spins = 0;
+      continue;
+    }
+    if (popped) wake_one();  // handed back: a parked worker may take it
+    if (++idle_spins < 64)
+      cpu_relax();
+    else
+      group->done.wait(0, std::memory_order_acquire);
   }
   std::exception_ptr error;
   {
@@ -246,18 +272,20 @@ void ThreadPool::finish_task() {
     in_flight_.notify_all();
 }
 
+void ThreadPool::run_task(const Task& task) {
+  try {
+    task.fn(task.arg);
+  } catch (...) {
+    // Only submit() tasks can throw (tile helpers capture per-group).
+    std::lock_guard lock(error_mu_);
+    if (!first_error_) first_error_ = std::current_exception();
+  }
+  finish_task();
+}
+
 void ThreadPool::worker_loop() {
   Task task;
-  while (pop_task(task)) {
-    try {
-      task.fn(task.arg);
-    } catch (...) {
-      // Only submit() tasks can throw (tile helpers capture per-group).
-      std::lock_guard lock(error_mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    finish_task();
-  }
+  while (pop_task(task)) run_task(task);
 }
 
 }  // namespace mvs::util

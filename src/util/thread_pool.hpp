@@ -8,7 +8,11 @@
 // thread (which may itself be a pool worker) claims tiles from a shared
 // counter alongside idle workers, so a worker can fan out sub-tasks without
 // ever blocking on a queue it is needed to drain (no deadlock even with a
-// single worker).
+// single worker). The join helps: once the caller runs out of its own tiles
+// it runs queued helpers of groups at its own nesting level or deeper until
+// its group completes, and sleeps only when there is nothing such to run, so
+// nested fan-outs keep every thread busy instead of parking the ones that
+// wait.
 //
 // SHAREABILITY: one pool may serve many independent clients concurrently
 // (the fleet runtime runs every session over a single pool). Both
@@ -87,6 +91,10 @@ class ThreadPool {
   /// the caller makes progress on its own tiles even when every worker is
   /// busy. fn must only touch state owned by index i. Rethrows the first
   /// exception any invocation threw, after all claimed tiles finished.
+  /// While its group's last tiles finish elsewhere, the caller runs queued
+  /// helpers of other groups at the same nesting level or deeper, so code
+  /// that calls run_tiles must not hold a lock or a per-thread buffer that
+  /// such a task could also take.
   /// The callable is borrowed by address for the duration of the call (the
   /// caller outlives every helper's use of it), never copied or boxed.
   template <typename Fn>
@@ -102,6 +110,9 @@ class ThreadPool {
   struct Task {
     void (*fn)(void*) = nullptr;
     void* arg = nullptr;
+    /// Nesting level of the group a helper serves (1 = a fan-out from
+    /// outside any tile); 0 for submit() tasks.
+    std::uint32_t depth = 0;
   };
   struct TileGroup;
 
@@ -119,6 +130,10 @@ class ThreadPool {
   bool pop_task(Task& out);          ///< spins, then eventcount sleep
   void wake_one();
   void finish_task();  ///< in_flight_ decrement + wait_idle wakeup
+  /// The one task body: run, capture a throw into first_error_, then
+  /// finish_task(). Workers run it on every popped task, and so does a
+  /// run_tiles() caller that helps while it waits on its group.
+  void run_task(const Task& task);
   void release_group(TileGroup* group);
   void worker_loop();
 

@@ -25,6 +25,24 @@ std::uint8_t Image::at_clamped(int x, int y) const {
   return at(x, y);
 }
 
+void Image::copy_clamped(int x0, int y0, int w, int h,
+                         std::uint8_t* out) const {
+  assert(!empty() && w >= 0 && h >= 0);
+  // Window columns [lo, hi) read real pixels; those left of lo replicate
+  // column 0 and those from hi on replicate the last column.
+  const int lo = std::clamp(-x0, 0, w);
+  const int hi = std::clamp(width_ - x0, lo, w);
+  const auto left = static_cast<std::size_t>(lo);
+  const auto span = static_cast<std::size_t>(hi - lo);
+  const auto right = static_cast<std::size_t>(w - hi);
+  for (int y = 0; y < h; ++y, out += w) {
+    const std::uint8_t* src = row(std::clamp(y0 + y, 0, height_ - 1));
+    std::memset(out, src[0], left);
+    if (span != 0) std::memcpy(out + left, src + x0 + lo, span);
+    std::memset(out + left + span, src[width_ - 1], right);
+  }
+}
+
 void Image::resize(int width, int height) {
   assert(width >= 0 && height >= 0);
   width_ = width;

@@ -39,6 +39,12 @@ class Image {
   /// Clamped read: out-of-bounds coordinates return the nearest edge pixel.
   std::uint8_t at_clamped(int x, int y) const;
 
+  /// Copy the w x h window whose top-left is (x0, y0) into `out` (row-major,
+  /// w * h bytes) with at_clamped semantics: one memcpy of each row's
+  /// in-frame span, edge-replicated fills for the rest. The window may lie
+  /// partly or wholly outside the frame, or be larger than it.
+  void copy_clamped(int x0, int y0, int w, int h, std::uint8_t* out) const;
+
   /// Reshape to width x height. Pixel contents are unspecified afterwards;
   /// no reallocation when the new size fits the existing capacity.
   void resize(int width, int height);

@@ -169,7 +169,9 @@ TEST(SerializerFuzz, DetectionListRoundTripsExtremeValues) {
       d.truth_id = iter % 3 == 0 ? ~0ULL : static_cast<std::uint64_t>(i);
       msg.detections.push_back(d);
     }
-    const auto decoded = DetectionListMsg::decode(msg.encode());
+    const std::vector<std::uint8_t> bytes = msg.encode();
+    EXPECT_EQ(msg.encoded_size(), bytes.size()) << "iteration " << iter;
+    const auto decoded = DetectionListMsg::decode(bytes);
     ASSERT_TRUE(decoded.has_value()) << "iteration " << iter;
     EXPECT_EQ(decoded->camera_id, msg.camera_id);
     EXPECT_EQ(decoded->frame_index, msg.frame_index);
@@ -203,7 +205,9 @@ TEST(SerializerFuzz, AssignmentRoundTripsExtremeValues) {
     for (int i = 0; i < np; ++i)
       msg.priority_order.push_back(
           static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 30)));
-    const auto decoded = AssignmentMsg::decode(msg.encode());
+    const std::vector<std::uint8_t> bytes = msg.encode();
+    EXPECT_EQ(msg.encoded_size(), bytes.size()) << "iteration " << iter;
+    const auto decoded = AssignmentMsg::decode(bytes);
     ASSERT_TRUE(decoded.has_value()) << "iteration " << iter;
     EXPECT_EQ(decoded->camera_id, msg.camera_id);
     EXPECT_EQ(decoded->frame_index, msg.frame_index);
@@ -223,9 +227,11 @@ TEST(SerializerFuzz, RandomBytesNeverCrashAndDecodeCanonically) {
     // canonical — re-encoding reproduces the exact input bytes.
     if (const auto det = DetectionListMsg::decode(bytes)) {
       EXPECT_EQ(det->encode(), bytes) << "iteration " << iter;
+      EXPECT_EQ(det->encoded_size(), bytes.size()) << "iteration " << iter;
     }
     if (const auto asg = AssignmentMsg::decode(bytes)) {
       EXPECT_EQ(asg->encode(), bytes) << "iteration " << iter;
+      EXPECT_EQ(asg->encoded_size(), bytes.size()) << "iteration " << iter;
     }
   }
 }

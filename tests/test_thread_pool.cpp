@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -214,6 +216,181 @@ TEST(ThreadPool, RunTilesPropagatesException) {
   pool.wait_idle();           // tile errors never leak into the pool state
 }
 
+// ------------------------------------------------------- helping joins --
+// A run_tiles() caller that runs out of its own tiles runs queued helpers of
+// groups at its own nesting level or deeper until its group completes
+// (DESIGN.md §11).
+
+/// Spin until `flag` is set or five seconds pass; true when it was set. The
+/// deadline turns a join that stopped helping into a failed expectation
+/// instead of a hung test.
+bool await_flag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPoolHelping, WaitingCallerRunsAnotherGroupsQueuedHelper) {
+  // One worker W. Group A (caller: this thread) has one tile on W, held
+  // until group B's second tile has run. Group B's caller X holds its first
+  // tile until then too, so B's second tile can only run through B's queued
+  // helper, and W is busy: the one thread free to run it is this one,
+  // waiting in A's join.
+  ThreadPool pool(1);
+  const std::thread::id main_id = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_a(2), ran_b(2);
+  std::atomic<bool> a_on_worker{false}, b_on_caller{false}, b1_ran{false};
+  std::atomic<bool> main_waited{false}, b1_waited{false};
+
+  std::thread x;
+  pool.run_tiles(2, [&](std::size_t i) {
+    ran_a[i] = std::this_thread::get_id();
+    if (ran_a[i] == main_id) {
+      // Leave this tile only when A's other tile is held on W and B's
+      // helper is queued (X is inside B's first tile).
+      main_waited = await_flag(a_on_worker);
+      x = std::thread([&] {
+        pool.run_tiles(2, [&](std::size_t j) {
+          ran_b[j] = std::this_thread::get_id();
+          if (j == 0) {
+            b_on_caller.store(true, std::memory_order_release);
+            b1_waited = await_flag(b1_ran);
+          } else {
+            b1_ran.store(true, std::memory_order_release);
+          }
+        });
+      });
+      await_flag(b_on_caller);
+    } else {
+      a_on_worker.store(true, std::memory_order_release);
+      await_flag(b1_ran);
+    }
+  });
+  x.join();
+
+  EXPECT_TRUE(main_waited);
+  EXPECT_TRUE(b1_waited);
+  EXPECT_NE(ran_a[0], ran_a[1]);
+  EXPECT_NE(ran_b[0], main_id);
+  EXPECT_EQ(ran_b[1], main_id);  // B's helper ran in A's caller's join
+}
+
+TEST(ThreadPoolHelping, InnerWaiterLeavesOuterLevelHelpersQueued) {
+  // Two workers. This thread's outer group O (level 1) holds its other
+  // tile on one worker; inside its own O tile it waits on an inner group I
+  // (level 2) whose other tile sleeps on the second worker. Meanwhile
+  // caller X queues the helper of its level-1 group Q. The inner waiter
+  // must leave that helper queued, since an outer-level task could keep
+  // it busy long after I completes; Q's second tile may run only once this
+  // thread is back at O's join, or on a worker.
+  ThreadPool pool(2);
+  const std::thread::id main_id = std::this_thread::get_id();
+  std::atomic<bool> o_on_worker{false}, i_on_worker{false}, x_in_q{false};
+  std::atomic<bool> q1_ran{false}, inner_done{false};
+  std::atomic<bool> q1_ran_in_inner_wait{false};
+
+  std::thread x;
+  pool.run_tiles(2, [&](std::size_t) {
+    if (std::this_thread::get_id() != main_id) {
+      o_on_worker.store(true, std::memory_order_release);
+      await_flag(q1_ran);
+      return;
+    }
+    await_flag(o_on_worker);
+    pool.run_tiles(2, [&](std::size_t) {
+      if (std::this_thread::get_id() != main_id) {
+        i_on_worker.store(true, std::memory_order_release);
+        await_flag(x_in_q);
+        // The window in which this thread's caller waits on I with Q's
+        // helper queued.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return;
+      }
+      await_flag(i_on_worker);
+      x = std::thread([&] {
+        pool.run_tiles(2, [&](std::size_t j) {
+          if (j == 0) {
+            x_in_q.store(true, std::memory_order_release);
+            await_flag(q1_ran);
+          } else {
+            if (std::this_thread::get_id() == main_id &&
+                !inner_done.load(std::memory_order_acquire))
+              q1_ran_in_inner_wait.store(true, std::memory_order_relaxed);
+            q1_ran.store(true, std::memory_order_release);
+          }
+        });
+      });
+      await_flag(x_in_q);
+    });
+    inner_done.store(true, std::memory_order_release);
+  });
+  x.join();
+
+  EXPECT_TRUE(q1_ran.load());
+  EXPECT_FALSE(q1_ran_in_inner_wait.load());
+}
+
+TEST(ThreadPoolHelping, NestedGroupsKeepTheirOwnExceptionsOnOneWorker) {
+  // Two callers share a one-worker pool; every outer tile runs an inner
+  // group, some of which throw. Waiters help each other's groups, yet each
+  // inner error reaches only the outer tile that started its group, and
+  // each outer error only its own caller.
+  ThreadPool pool(1);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 12;
+  constexpr int kRounds = 20;
+  auto drive = [&pool](int caller, std::vector<std::string>& caught,
+                       std::atomic<long>& inner_ran) {
+    pool.run_tiles(kOuter, [&, caller](std::size_t outer) {
+      const std::string tag =
+          std::to_string(caller) + "/" + std::to_string(outer);
+      try {
+        pool.run_tiles(kInner, [&, outer](std::size_t inner) {
+          inner_ran.fetch_add(1, std::memory_order_relaxed);
+          if (outer % 3 == 0 && inner == outer % kInner)
+            throw std::runtime_error(tag);
+        });
+      } catch (const std::runtime_error& e) {
+        caught[outer] = e.what();
+      }
+      if (outer == kOuter - 1)
+        throw std::logic_error("outer " + std::to_string(caller));
+    });
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<std::string>> caught(
+        2, std::vector<std::string>(kOuter));
+    std::vector<std::string> outer_error(2);
+    std::atomic<long> inner_ran{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 2; ++c)
+      callers.emplace_back([&, c] {
+        try {
+          drive(c, caught[static_cast<std::size_t>(c)], inner_ran);
+        } catch (const std::logic_error& e) {
+          outer_error[static_cast<std::size_t>(c)] = e.what();
+        }
+      });
+    for (std::thread& t : callers) t.join();
+
+    EXPECT_EQ(inner_ran.load(), long{2 * kOuter * kInner});
+    for (int c = 0; c < 2; ++c) {
+      const auto cu = static_cast<std::size_t>(c);
+      EXPECT_EQ(outer_error[cu], "outer " + std::to_string(c));
+      for (std::size_t o = 0; o < kOuter; ++o) {
+        const std::string want =
+            o % 3 == 0 ? std::to_string(c) + "/" + std::to_string(o) : "";
+        EXPECT_EQ(caught[cu][o], want) << "round " << round;
+      }
+    }
+  }
+  pool.wait_idle();  // group errors never reach the pool-wide error slot
+}
+
 // ------------------------------------------------- contention stress tests --
 // These hammer the bounded MPMC ring well past its capacity (1024 slots)
 // from more producers than consumers, so the full-queue backpressure path
@@ -279,6 +456,33 @@ TEST(ThreadPoolStress, NestedRunTilesFromEveryWorkerUnderSaturation) {
   });
   for (const auto& row : hits)
     for (int h : row) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolStress, FleetShapedNestingKeepsPerIndexChecksums) {
+  // The fleet's four fan-out levels on one pool: shards, sessions per
+  // shard, cameras per session, flow rows per camera. Every waiter at
+  // every level helps, so any tile may run on any thread at any depth.
+  ThreadPool pool(3);
+  constexpr std::size_t kShards = 2, kSessions = 6, kCameras = 4, kRows = 22;
+  constexpr std::size_t kSlots = kShards * kSessions * kCameras * kRows;
+  constexpr int kRounds = 100;
+  std::vector<std::uint64_t> sums(kSlots, 0);
+  for (int round = 1; round <= kRounds; ++round) {
+    pool.run_tiles(kShards, [&](std::size_t shard) {
+      pool.run_tiles(kSessions, [&, shard](std::size_t session) {
+        pool.parallel_for_each(kCameras, [&, shard, session](std::size_t cam) {
+          pool.run_tiles(kRows, [&, shard, session, cam](std::size_t row) {
+            const std::size_t slot =
+                ((shard * kSessions + session) * kCameras + cam) * kRows + row;
+            sums[slot] += slot * static_cast<std::uint64_t>(round) + 1;
+          });
+        });
+      });
+    });
+  }
+  constexpr std::uint64_t kRoundSum = kRounds * (kRounds + 1) / 2;
+  for (std::size_t slot = 0; slot < kSlots; ++slot)
+    EXPECT_EQ(sums[slot], slot * kRoundSum + kRounds) << "slot " << slot;
 }
 
 TEST(ThreadPoolStress, TaskThrowsDuringSaturationKeepsPoolUsable) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -241,6 +243,58 @@ TEST(Image, ClampedRead) {
   img.set(1, 1, 20);
   EXPECT_EQ(img.at_clamped(-5, -5), 10);
   EXPECT_EQ(img.at_clamped(10, 10), 20);
+}
+
+/// The per-pixel at_clamped copy that Image::copy_clamped replaces.
+std::vector<std::uint8_t> reference_copy_clamped(const Image& img, int x0,
+                                                 int y0, int w, int h) {
+  std::vector<std::uint8_t> out;
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) out.push_back(img.at_clamped(x0 + x, y0 + y));
+  return out;
+}
+
+void expect_copy_matches(const Image& img, int x0, int y0, int w, int h) {
+  std::vector<std::uint8_t> got(static_cast<std::size_t>(w) *
+                                static_cast<std::size_t>(h));
+  img.copy_clamped(x0, y0, w, h, got.data());
+  EXPECT_EQ(got, reference_copy_clamped(img, x0, y0, w, h))
+      << "window (" << x0 << ", " << y0 << ") " << w << "x" << h << " on "
+      << img.width() << "x" << img.height();
+}
+
+TEST(Image, CopyClampedMatchesPerPixelClampedReads) {
+  util::Rng rng(0xC0FF);
+  const Image img = random_image(13, 9, rng);
+  struct Window {
+    int x0, y0, w, h;
+  };
+  const Window windows[] = {
+      {2, 2, 5, 4},      // inside
+      {0, 0, 13, 9},     // the whole frame
+      {-3, 3, 6, 3},     // over the left edge
+      {10, 3, 6, 3},     // over the right edge
+      {4, -2, 4, 5},     // over the top edge
+      {4, 7, 4, 5},      // over the bottom edge
+      {-4, -3, 6, 6},    // top-left corner
+      {10, -3, 6, 6},    // top-right corner
+      {-4, 6, 6, 6},     // bottom-left corner
+      {10, 6, 6, 6},     // bottom-right corner
+      {-20, 2, 5, 5},    // wholly left of the frame
+      {20, 2, 5, 5},     // wholly right
+      {2, -20, 5, 5},    // wholly above
+      {2, 20, 5, 5},     // wholly below
+      {-30, -30, 4, 4},  // beyond a corner
+      {-5, -4, 25, 20},  // larger than the frame on every side
+      {-1, 2, 15, 3},    // wider than the frame
+  };
+  for (const Window& win : windows)
+    expect_copy_matches(img, win.x0, win.y0, win.w, win.h);
+  for (int i = 0; i < 300; ++i)
+    expect_copy_matches(img, rng.uniform_int(-20, 25), rng.uniform_int(-15, 20),
+                        rng.uniform_int(1, 30), rng.uniform_int(1, 30));
+  const Image pixel = random_image(1, 1, rng);
+  expect_copy_matches(pixel, -3, -2, 8, 7);
 }
 
 TEST(Image, Downsample) {
