@@ -1,5 +1,6 @@
 #include "assoc/association.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 
@@ -175,7 +176,8 @@ geom::BBox CrossCameraAssociator::predict_box(std::size_t src, std::size_t dst,
 }
 
 std::vector<AssociatedObject> CrossCameraAssociator::associate(
-    const std::vector<std::vector<detect::Detection>>& detections) const {
+    const std::vector<std::vector<detect::Detection>>& detections,
+    util::ThreadPool* pool) const {
   const std::size_t m = sizes_.size();
   assert(detections.size() == m);
 
@@ -199,31 +201,69 @@ std::vector<AssociatedObject> CrossCameraAssociator::associate(
   };
 
   // Pairwise matching, camera i against every camera behind it in the list.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = i + 1; j < m; ++j) {
-      const PairModels& models = pairs_[pair_index(i, j)];
-      if (!models.has_positives || !trained_) continue;
-      const auto& src = detections[i];
-      const auto& dst = detections[j];
-      if (src.empty() || dst.empty()) continue;
+  // Only pairs with positives and detections on both sides can match.
+  struct PairMatch {
+    std::size_t i = 0, j = 0;
+    matching::AssignmentResult res;
+  };
+  std::vector<PairMatch> pairs;
+  std::vector<std::size_t> sources;  // cameras with a pair ahead, ascending
+  if (trained_) {
+    for (std::size_t i = 0; i < m; ++i) {
+      if (detections[i].empty()) continue;
+      const std::size_t before = pairs.size();
+      for (std::size_t j = i + 1; j < m; ++j)
+        if (pairs_[pair_index(i, j)].has_positives && !detections[j].empty())
+          pairs.push_back({i, j, {}});
+      if (pairs.size() > before) sources.push_back(i);
+    }
+  }
 
-      std::vector<double> cost(src.size() * dst.size(),
-                               matching::kForbiddenCost);
-      for (std::size_t a = 0; a < src.size(); ++a) {
-        if (!predict_present(i, j, src[a].box)) continue;
-        const geom::BBox predicted = predict_box(i, j, src[a].box);
-        for (std::size_t b = 0; b < dst.size(); ++b) {
-          const double v = geom::iou(predicted, dst[b].box);
-          if (v >= cfg_.min_match_iou) cost[a * dst.size() + b] = 1.0 - v;
-        }
+  // One neighbour search per source detection answers its presence on every
+  // destination: present[(offset[i] + a) * m + j] for detection a of i.
+  std::vector<char> present(offset[m] * m, 0);
+  auto search_source = [&](std::size_t s) {
+    const std::size_t i = sources[s];
+    std::vector<char> on;
+    for (std::size_t a = 0; a < detections[i].size(); ++a) {
+      present_on(i, detections[i][a].box, on);
+      std::copy(on.begin(), on.end(),
+                present.begin() +
+                    static_cast<std::ptrdiff_t>((offset[i] + a) * m));
+    }
+  };
+  // Each pair builds its own cost matrix and writes only its own result.
+  auto match_pair = [&](std::size_t p) {
+    PairMatch& pm = pairs[p];
+    const auto& src = detections[pm.i];
+    const auto& dst = detections[pm.j];
+    std::vector<double> cost(src.size() * dst.size(),
+                             matching::kForbiddenCost);
+    for (std::size_t a = 0; a < src.size(); ++a) {
+      if (!present[(offset[pm.i] + a) * m + pm.j]) continue;
+      const geom::BBox predicted = predict_box(pm.i, pm.j, src[a].box);
+      for (std::size_t b = 0; b < dst.size(); ++b) {
+        const double v = geom::iou(predicted, dst[b].box);
+        if (v >= cfg_.min_match_iou) cost[a * dst.size() + b] = 1.0 - v;
       }
-      const matching::AssignmentResult res =
-          matching::solve_assignment(cost, src.size(), dst.size());
-      for (std::size_t a = 0; a < src.size(); ++a) {
-        if (res.row_to_col[a] >= 0)
-          unite(offset[i] + a,
-                offset[j] + static_cast<std::size_t>(res.row_to_col[a]));
-      }
+    }
+    pm.res = matching::solve_assignment(cost, src.size(), dst.size());
+  };
+  if (pool) {
+    pool->run_tiles(sources.size(), search_source);
+    pool->run_tiles(pairs.size(), match_pair);
+  } else {
+    for (std::size_t s = 0; s < sources.size(); ++s) search_source(s);
+    for (std::size_t p = 0; p < pairs.size(); ++p) match_pair(p);
+  }
+
+  // Unions in (i, j) order, as a serial pair loop would apply them: the
+  // components, and so the objects' order, do not depend on the pool.
+  for (const PairMatch& pm : pairs) {
+    for (std::size_t a = 0; a < detections[pm.i].size(); ++a) {
+      if (pm.res.row_to_col[a] >= 0)
+        unite(offset[pm.i] + a,
+              offset[pm.j] + static_cast<std::size_t>(pm.res.row_to_col[a]));
     }
   }
 

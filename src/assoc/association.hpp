@@ -103,9 +103,14 @@ class CrossCameraAssociator {
                          const geom::BBox& box) const;
 
   /// Associate per-camera detection lists into physical objects
-  /// (union-find over pairwise Hungarian matches).
+  /// (union-find over pairwise Hungarian matches). Each source detection
+  /// gets one presence search (present_on) for all its pairs. With a pool,
+  /// the searches fan out per source camera and the pairs' cost matrices
+  /// and solves per pair; the unions then apply in pair order, so the
+  /// objects do not depend on the pool.
   std::vector<AssociatedObject> associate(
-      const std::vector<std::vector<detect::Detection>>& detections) const;
+      const std::vector<std::vector<detect::Detection>>& detections,
+      util::ThreadPool* pool = nullptr) const;
 
   const Config& config() const { return cfg_; }
 

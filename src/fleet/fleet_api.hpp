@@ -42,7 +42,7 @@ struct FleetConfig {
   /// with a different native fps grow the wheel (see wheel_hz()).
   double frame_period_ms = 100.0;
   DispatchPolicy dispatch = DispatchPolicy::kRoundRobin;
-  /// Shared worker pool width (0 = hardware concurrency). All shards and
+  /// Shared worker pool width (0 = one per usable CPU). All shards and
   /// all sessions' per-camera parallelism run on this one pool.
   int threads = 0;
   /// Allow the admission controller to degrade instead of rejecting.

@@ -217,7 +217,6 @@ struct Pipeline::Impl {
     }
     active.assign(m, 1);
     gpu_work.resize(m);
-    tile_flow = m < pool.thread_count();
 
     // Detect-or-track layer. The fixed kind is fast-pathed: no policy
     // object, no feature bookkeeping, no extra obs signals — the pipeline
@@ -410,24 +409,17 @@ struct Pipeline::Impl {
                       std::vector<std::vector<geom::BBox>>& reported) {
     MVS_SPAN("pipeline.key_frame");
     full_inspection(mf, stats, reported);
-    if (cfg.policy == Policy::kBalbInd) {
-      for (std::size_t i = 0; i < cameras.size(); ++i)
-        if (active[i]) cameras[i].tracker.reset_from_detections(full_dets_[i]);
-    } else {
-      for (std::size_t i = 0; i < cameras.size(); ++i) {
-        if (!active[i] || gate_cold(i)) continue;
-        net::DetectionListMsg msg{static_cast<std::uint32_t>(i),
-                                  static_cast<std::uint64_t>(mf.frame_index),
-                                  full_dets_[i]};
-        transport->send_uplink(eval_frame, static_cast<int>(i),
-                               msg.encoded_size());
-      }
-      central_stage(mf, eval_frame, stats);
-    }
 
-    // Each camera owns its renderer, render_objs and FlowScratch, so the
-    // cameras render in parallel with nothing shared.
-    pool.parallel_for_each(cameras.size(), [&](std::size_t i) {
+    // One group: tile 0 plans, tile 1 + i renders camera i and rebases its
+    // flow pyramid. The plan touches the trackers, ghosts, transport and
+    // trace; a render only its camera's renderer, render_objs and
+    // FlowScratch, so the renders run beside the central stage.
+    pool.run_tiles(cameras.size() + 1, [&](std::size_t tile) {
+      if (tile == 0) {
+        plan_key_frame(mf, eval_frame, stats);
+        return;
+      }
+      const std::size_t i = tile - 1;
       if (!active[i]) return;
       CameraNode& cam = cameras[i];
       cam.render_current(mf.per_camera[i], mf.frame_index);
@@ -448,6 +440,26 @@ struct Pipeline::Impl {
     }
   }
 
+  /// The key frame's plan: under BALB-Ind each online camera restarts from
+  /// its own detections; otherwise the uplinks, then the central stage.
+  void plan_key_frame(const sim::MultiFrame& mf, long eval_frame,
+                      FrameStats& stats) {
+    if (cfg.policy == Policy::kBalbInd) {
+      for (std::size_t i = 0; i < cameras.size(); ++i)
+        if (active[i]) cameras[i].tracker.reset_from_detections(full_dets_[i]);
+      return;
+    }
+    for (std::size_t i = 0; i < cameras.size(); ++i) {
+      if (!active[i] || gate_cold(i)) continue;
+      net::DetectionListMsg msg{static_cast<std::uint32_t>(i),
+                                static_cast<std::uint64_t>(mf.frame_index),
+                                full_dets_[i]};
+      transport->send_uplink(eval_frame, static_cast<int>(i),
+                             msg.encoded_size());
+    }
+    central_stage(mf, eval_frame, stats);
+  }
+
   /// Central stage: association, the assignment and the distributed
   /// stage's masks, the plan's round trip over the transport, and each
   /// camera that received the plan adopting its slice of it.
@@ -466,7 +478,7 @@ struct Pipeline::Impl {
 
     util::Stopwatch central_sw;
     const std::vector<assoc::AssociatedObject> objects =
-        associator->associate(sched_dets);
+        associator->associate(sched_dets, &pool);
     core::MvsProblem problem;
     problem.cameras = devices();
     for (std::size_t j = 0; j < objects.size(); ++j) {
@@ -726,7 +738,7 @@ struct Pipeline::Impl {
   /// Ends by listing the boxes the camera already explains (tracks, then
   /// ghosts) for the decision and the new-region search.
   void track(CameraNode& cam, long frame_index) {
-    cam.flow_engine.compute(cam.scratch, cam.flow, tile_flow ? &pool : nullptr);
+    cam.flow_engine.compute(cam.scratch, cam.flow, &pool);
     const vision::FlowField& flow = cam.flow;
     // Velocity-fallback coasting only under an active policy layer: the
     // fixed pipeline (frame_policy == nullptr, even when recording a
@@ -1165,8 +1177,6 @@ struct Pipeline::Impl {
   /// Owned when no shared pool was injected; `pool` is the one in use.
   std::unique_ptr<util::ThreadPool> owned_pool;
   util::ThreadPool& pool;
-  /// Tile flow rows across idle workers (fleet smaller than the pool).
-  bool tile_flow = false;
   /// Per-camera GPU demand of the most recent frame (fleet arbiter input).
   std::vector<CameraGpuWork> gpu_work;
   /// Evaluation frames run so far; key-frame cadence and transport/dropout

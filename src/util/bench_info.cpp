@@ -4,11 +4,12 @@
 #include <ctime>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #ifdef __unix__
 #include <sys/utsname.h>
 #endif
+
+#include "util/thread_pool.hpp"
 
 namespace mvs::util {
 
@@ -66,7 +67,7 @@ MachineInfo machine_info() {
   if (uname(&u) == 0) info.os = std::string(u.sysname) + " " + u.release;
 #endif
   info.cpu = cpu_model();
-  info.hardware_threads = std::max(1u, std::thread::hardware_concurrency());
+  info.hardware_threads = static_cast<unsigned>(usable_cpu_count());
   return info;
 }
 

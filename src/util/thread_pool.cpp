@@ -3,7 +3,21 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace mvs::util {
+
+std::size_t usable_cpu_count() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0)
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 namespace {
 /// Nesting level of the tile this thread is running; 0 outside any tile.
@@ -11,8 +25,7 @@ thread_local std::uint32_t t_depth = 0;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0)
-    threads = std::max(1u, std::thread::hardware_concurrency());
+  if (threads == 0) threads = usable_cpu_count();
   workers_.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t)
     workers_.emplace_back([this] { worker_loop(); });

@@ -50,9 +50,14 @@
 
 namespace mvs::util {
 
+/// CPUs this process may run on: the size of the calling thread's affinity
+/// mask on Linux, hardware_concurrency elsewhere (or when the mask cannot
+/// be read); at least 1. A run pinned with taskset sizes to its CPUs.
+std::size_t usable_cpu_count();
+
 class ThreadPool {
  public:
-  /// threads == 0 selects hardware_concurrency (at least 1).
+  /// threads == 0 selects usable_cpu_count().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

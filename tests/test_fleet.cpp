@@ -5,10 +5,12 @@
 #include <random>
 
 #include "fleet/fleet.hpp"
+#include "fleet/shard.hpp"
 #include "gpu/batch_planner.hpp"
 #include "gpu/device_profile.hpp"
 #include "policy/policy.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mvs::fleet {
 namespace {
@@ -982,6 +984,66 @@ TEST(FleetRollups, SnapshotJsonRoundTrips) {
   EXPECT_EQ(s.string_or("name", ""), "json-session");
   EXPECT_EQ(s.string_or("state", ""), "active");
   EXPECT_DOUBLE_EQ(s.number_or("frames", -1.0), 3.0);
+}
+
+// -------------------------------------------------------- split carryover --
+
+TEST(FleetSplitDebt, DeferredTasksRunOnTheOwnersNextTick) {
+  // Tasks a batch split defers become the owning camera's carryover debt,
+  // and the session's next stepped submission must carry them: every tick
+  // executes exactly what its sessions generated plus the debt they owed,
+  // minus what it defers again.
+  FleetConfig cfg;
+  cfg.slo_ms = 1200.0;
+  cfg.allow_split = true;
+  cfg.assumed_tasks_per_camera = 8.0;
+  util::ThreadPool pool(2);
+  Shard shard(cfg, 0, &pool);
+  std::vector<int> ids;
+  for (int i = 0; i < 4; ++i) {
+    SessionSpec s = spec("synthetic-" + std::to_string(i),
+                         static_cast<std::uint64_t>(40 + i),
+                         /*weight=*/1.0 + (i % 2));
+    s.scenario = "S1";
+    s.synthetic = true;
+    AdmitResult result;
+    const SessionRecord* rec = shard.admit(s, &result);
+    ASSERT_NE(rec, nullptr) << result.reason;
+    ids.push_back(rec->id);
+  }
+
+  auto debt_of = [](const SessionRecord& rec) {
+    long n = 0;
+    for (const auto& cam : rec.carryover) n += static_cast<long>(cam.size());
+    return n;
+  };
+  long ticks_paying_debt = 0;
+  for (int t = 0; t < 200; ++t) {
+    std::vector<long> frames_before, debt_before;
+    for (int id : ids) {
+      const SessionRecord* rec = shard.find(id);
+      frames_before.push_back(rec->synth->frames());
+      debt_before.push_back(debt_of(*rec));
+    }
+    shard.step();
+    long owed = 0, paid = 0;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const SessionRecord* rec = shard.find(ids[k]);
+      if (rec->synth->frames() == frames_before[k]) continue;  // deferred
+      for (const runtime::CameraGpuWork& w : rec->synth->last_gpu_work())
+        owed += static_cast<long>(w.tasks.size());
+      owed += debt_before[k];
+      paid += debt_before[k];
+    }
+    long executed = 0, deferred = 0;
+    for (const MergeCell& cell : shard.last_plan().cells)
+      executed += cell.count;
+    for (const DeferredSlice& slice : shard.last_plan().deferred)
+      deferred += slice.count;
+    EXPECT_EQ(executed, owed - deferred) << "tick " << t;
+    ticks_paying_debt += paid > 0 ? 1 : 0;
+  }
+  EXPECT_GE(ticks_paying_debt, 10);
 }
 
 // ----------------------------------------------------------- determinism --

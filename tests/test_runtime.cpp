@@ -158,6 +158,7 @@ void expect_deterministic_stats_equal(const PipelineResult& a,
     EXPECT_EQ(fa.gt_objects, fb.gt_objects);
     EXPECT_EQ(fa.tracked_objects, fb.tracked_objects);
     EXPECT_DOUBLE_EQ(fa.comm_ms, fb.comm_ms);
+    EXPECT_DOUBLE_EQ(fa.queue_ms, fb.queue_ms);
     EXPECT_EQ(fa.retries, fb.retries);
     EXPECT_EQ(fa.dropped_msgs, fb.dropped_msgs);
     EXPECT_EQ(fa.cameras_online, fb.cameras_online);
@@ -178,27 +179,20 @@ std::vector<TraceEvent> sorted_events(const TraceRecorder& trace) {
   return events;
 }
 
-TEST(PipelineBehaviour, DeterministicAcrossThreadCountsAndTiling) {
-  // Same seed at threads=1 and threads=8: FrameStats and trace streams must
-  // be identical. S2 has 2 cameras, so threads=8 runs the tiled-flow path
-  // (fleet smaller than the pool) and threads=1 the untiled one.
-  PipelineConfig base = fast_config(Policy::kBalb, 21);
-  base.threads = 1;
-  PipelineConfig wide = base;
-  wide.threads = 8;
+/// Run `frames` frames of `scenario` at `threads` workers with a trace
+/// attached; the trace comes back in canonical order.
+std::pair<PipelineResult, std::vector<TraceEvent>> traced_run(
+    const std::string& scenario, PipelineConfig cfg, int threads, int frames) {
+  cfg.threads = threads;
+  TraceRecorder trace;
+  Pipeline pipeline(scenario, cfg);
+  pipeline.attach_trace(&trace);
+  PipelineResult result = pipeline.run(frames);
+  return {std::move(result), sorted_events(trace)};
+}
 
-  TraceRecorder trace_base, trace_wide;
-  Pipeline a("S2", base);
-  a.attach_trace(&trace_base);
-  Pipeline b("S2", wide);
-  b.attach_trace(&trace_wide);
-
-  const PipelineResult ra = a.run(30);
-  const PipelineResult rb = b.run(30);
-  expect_deterministic_stats_equal(ra, rb);
-
-  const auto ea = sorted_events(trace_base);
-  const auto eb = sorted_events(trace_wide);
+void expect_same_events(const std::vector<TraceEvent>& ea,
+                        const std::vector<TraceEvent>& eb) {
   ASSERT_EQ(ea.size(), eb.size());
   for (std::size_t i = 0; i < ea.size(); ++i) {
     EXPECT_EQ(ea[i].frame, eb[i].frame);
@@ -206,6 +200,50 @@ TEST(PipelineBehaviour, DeterministicAcrossThreadCountsAndTiling) {
     EXPECT_EQ(ea[i].type, eb[i].type);
     EXPECT_EQ(ea[i].object_key, eb[i].object_key);
     EXPECT_DOUBLE_EQ(ea[i].value, eb[i].value);
+  }
+}
+
+TEST(PipelineBehaviour, DeterministicAcrossThreadCountsAndTiling) {
+  // Same seed at threads=1 and threads=8: FrameStats and trace streams must
+  // be identical. Flow rows tile over the pool on every frame; S2's two
+  // cameras leave six of eight workers to take rows, while at threads=1
+  // one worker and the caller share them.
+  const PipelineConfig cfg = fast_config(Policy::kBalb, 21);
+  const auto [ra, ea] = traced_run("S2", cfg, 1, 30);
+  const auto [rb, eb] = traced_run("S2", cfg, 8, 30);
+  expect_deterministic_stats_equal(ra, rb);
+  expect_same_events(ea, eb);
+}
+
+TEST(PipelineBehaviour, KeyFramePlanBesideRendersDeterministic) {
+  // A key frame runs its plan (association fanned out per pair, BALB, the
+  // plan's round trip; BALB-Ind's tracker resets) as tile 0 of the group
+  // whose other tiles render each camera and rebase its flow pyramid.
+  // Forty frames cover four key frames; threads=1 and threads=8 must agree
+  // on every FrameStats field and every trace event.
+  sim::CityConfig city;
+  city.cameras = 12;
+  PipelineConfig gated = fast_config(Policy::kBalb, 31);
+  gated.frame_policy.correlation_gate = true;
+  gated.transport = net::TransportKind::kLossy;
+  gated.faults.loss_rate = 0.1;
+  gated.faults.jitter_ms = 2.0;
+  gated.faults.dropouts.push_back({3, 5, 25});
+  const std::vector<std::pair<std::string, PipelineConfig>> cases = {
+      {"S1", fast_config(Policy::kBalb, 31)},
+      {"S3", fast_config(Policy::kBalbInd, 31)},
+      {"S1", fast_config(Policy::kStaticPartition, 31)},
+      {sim::city_scenario_name(city), gated},
+  };
+  for (const auto& [scenario, cfg] : cases) {
+    SCOPED_TRACE(scenario + " " + to_string(cfg.policy));
+    const auto [ra, ea] = traced_run(scenario, cfg, 1, 40);
+    const auto [rb, eb] = traced_run(scenario, cfg, 8, 40);
+    std::size_t key_frames = 0;
+    for (const FrameStats& f : ra.frames) key_frames += f.key_frame ? 1 : 0;
+    EXPECT_EQ(key_frames, 4u);
+    expect_deterministic_stats_equal(ra, rb);
+    expect_same_events(ea, eb);
   }
 }
 

@@ -11,6 +11,10 @@
 
 #include "util/thread_pool.hpp"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace mvs::util {
 namespace {
 
@@ -64,10 +68,34 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   }
 }
 
-TEST(ThreadPool, ZeroChoosesHardwareConcurrency) {
+TEST(ThreadPool, ZeroSizesFromUsableCpus) {
   ThreadPool pool(0);
   EXPECT_GE(pool.thread_count(), 1u);
+  EXPECT_EQ(pool.thread_count(), usable_cpu_count());
 }
+
+#ifdef __linux__
+TEST(ThreadPool, ZeroSizesFromAffinityMaskWhenPinned) {
+  // Pin this thread to one of its CPUs (as taskset would pin a process):
+  // the default pool must size to that one CPU, not to the machine.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(usable_cpu_count(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const std::size_t pinned = usable_cpu_count();
+  const std::size_t pinned_pool = ThreadPool(0).thread_count();
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(pinned_pool, 1u);
+}
+#endif
 
 TEST(ThreadPool, DestructionWithPendingWorkCompletes) {
   std::atomic<int> counter{0};

@@ -59,7 +59,7 @@ const mvs::runtime::FieldInfo kCliOptions[] = {
     cli_option("config", "csv", nullptr,
                "per-frame CSV on stdout instead of the summary"),
     cli_option("config", "threads", "N",
-               "worker threads (0 = hardware concurrency; results identical "
+               "worker threads (0 = one per usable CPU; results identical "
                "for any count); with --fleet also the shared pool width"),
     cli_option("faults", "drop-camera", "CAM:FROM[:TO][,...]",
                "camera dropout windows, evaluation-frame indexed, TO "
