@@ -6,15 +6,16 @@
 // Textures are hash-based so they are (a) deterministic, (b) unique per
 // object, and (c) rich enough for block-matching optical flow to lock onto.
 //
-// The background depends only on the camera seed, so it is rendered once and
-// cached; per-frame work is a memcpy of the cached background plus the
-// object rectangles and the noise pass. The noise pass maps each hashed byte
-// through a 256-entry table built once per renderer, so no pixel pays an
-// integer division (DESIGN.md §7). The cache makes render() non-reentrant
-// for a single Renderer instance (one renderer per camera in the pipeline),
-// while distinct instances stay independent.
+// The background depends only on the camera seed, so its 4x4 texels are
+// drawn once and cached; per-frame work expands the cached texels one texel
+// row at a time, then draws the object rectangles and the noise pass. The
+// noise pass maps each hashed byte through a 256-entry table built once per
+// renderer, so no pixel pays an integer division (DESIGN.md §7). The cache
+// makes render() non-reentrant for a single Renderer instance (one renderer
+// per camera in the pipeline), while distinct instances stay independent.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,14 +51,27 @@ class Renderer {
   void render_into(const std::vector<RenderObject>& objects, long frame,
                    std::uint64_t camera_seed, Image& out) const;
 
+  /// Same, drawing into the interior of `out`, which must already be shaped
+  /// config().width x config().height (its pad is the caller's), then
+  /// filling its border. The flow pyramid's level 0 is rendered this way.
+  void render_into(const std::vector<RenderObject>& objects, long frame,
+                   std::uint64_t camera_seed, PaddedImage& out) const;
+
   const Config& config() const { return cfg_; }
 
  private:
   Config cfg_{};
+  /// The one draw body behind both render_into targets: the frame whose
+  /// row y starts at origin + y * stride.
+  void draw(const std::vector<RenderObject>& objects, long frame,
+            std::uint64_t camera_seed, std::uint8_t* origin,
+            std::ptrdiff_t stride) const;
+
   /// Sensor noise per hashed byte t: t % (2a + 1) - a for amplitude a.
   std::array<int, 256> noise_{};
-  // Lazily built per camera_seed; rebuilt only when the seed changes.
-  mutable Image background_;
+  // Background texel values, row-major over ceil(width / 4) x
+  // ceil(height / 4) texels; rebuilt only when the camera seed changes.
+  mutable std::vector<std::uint8_t> texels_;
   mutable std::uint64_t background_seed_ = 0;
   mutable bool background_valid_ = false;
 };
