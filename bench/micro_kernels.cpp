@@ -104,26 +104,18 @@ void BM_RendererInto(benchmark::State& state) {
 }
 BENCHMARK(BM_RendererInto)->Arg(320)->Arg(640)->Unit(benchmark::kMillisecond);
 
-void BM_Downsample(benchmark::State& state) {
-  vision::Renderer::Config rc;
-  rc.width = static_cast<int>(state.range(0));
-  rc.height = rc.width * 9 / 16;
-  const vision::Renderer renderer(rc);
-  const vision::Image img = renderer.render({}, 0, 7);
-  for (auto _ : state) benchmark::DoNotOptimize(img.downsampled());
-}
-BENCHMARK(BM_Downsample)->Arg(320)->Arg(640);
-
 void BM_DownsampleInto(benchmark::State& state) {
+  // One pyramid step: padded plane to padded plane, border fill included.
   vision::Renderer::Config rc;
   rc.width = static_cast<int>(state.range(0));
   rc.height = rc.width * 9 / 16;
   const vision::Renderer renderer(rc);
-  const vision::Image img = renderer.render({}, 0, 7);
-  vision::Image out;
+  vision::PaddedImage img, out;
+  img.assign(renderer.render({}, 0, 7), 16);
   for (auto _ : state) {
-    img.downsample_into(out);
-    benchmark::DoNotOptimize(out);
+    img.downsample_into(out, 16);
+    benchmark::DoNotOptimize(out.row(0));
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_DownsampleInto)->Arg(320)->Arg(640);
@@ -174,9 +166,9 @@ void BM_OpticalFlowBlock12(benchmark::State& state) { flow_pair(state, 12); }
 BENCHMARK(BM_OpticalFlowBlock12)->Arg(320)->Unit(benchmark::kMillisecond);
 
 void BM_OpticalFlowIncremental(benchmark::State& state) {
-  // Steady-state pipeline path: render into the scratch frame, compute flow
-  // against the cached previous pyramid, advance. One pyramid build per
-  // frame and zero steady-state allocation.
+  // Steady-state pipeline path: render straight into the scratch's level 0,
+  // compute flow against the cached previous pyramid, advance. One pyramid
+  // build per frame and zero steady-state allocation.
   vision::Renderer::Config rc;
   rc.width = static_cast<int>(state.range(0));
   rc.height = rc.width * 9 / 16;
@@ -185,12 +177,13 @@ void BM_OpticalFlowIncremental(benchmark::State& state) {
   const vision::OpticalFlow flow;
   vision::FlowScratch scratch;
   vision::FlowField field;
-  renderer.render_into({{1, box}}, 0, 7, scratch.cur_frame());
+  renderer.render_into({{1, box}}, 0, 7,
+                       flow.render_target(scratch, rc.width, rc.height));
   flow.rebase(scratch);
   long frame = 1;
   for (auto _ : state) {
     renderer.render_into({{1, box.shifted({3.0 * (frame % 2), 1})}}, frame, 7,
-                         scratch.cur_frame());
+                         flow.render_target(scratch, rc.width, rc.height));
     flow.compute(scratch, field);
     scratch.advance();
     benchmark::DoNotOptimize(field);

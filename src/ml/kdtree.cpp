@@ -6,24 +6,22 @@
 
 namespace mvs::ml {
 
-namespace {
-double sq_dist(const Feature& a, const Feature& b) {
-  double s = 0.0;
-  for (std::size_t d = 0; d < a.size(); ++d) {
-    const double delta = a[d] - b[d];
-    s += delta * delta;
-  }
-  return s;
-}
-}  // namespace
-
-KdTree::KdTree(std::vector<Feature> points) : points_(std::move(points)) {
-  order_.resize(points_.size());
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
-  if (!points_.empty()) root_ = build(0, points_.size(), 0);
+KdTree::KdTree(const std::vector<Feature>& points) {
+  if (points.empty()) return;
+  dim_ = points.front().size();
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  root_ = build(points, order, 0, points.size(), 0);
+  // Lay the points out flat in the order the leaves scan them.
+  coords_.reserve(points.size() * dim_);
+  for (const std::size_t p : order)
+    coords_.insert(coords_.end(), points[p].begin(), points[p].end());
+  ids_ = std::move(order);
 }
 
-int KdTree::build(std::size_t begin, std::size_t end, int depth) {
+int KdTree::build(const std::vector<Feature>& points,
+                  std::vector<std::size_t>& order, std::size_t begin,
+                  std::size_t end, int depth) {
   Node node;
   node.begin = begin;
   node.end = end;
@@ -32,23 +30,22 @@ int KdTree::build(std::size_t begin, std::size_t end, int depth) {
     return static_cast<int>(nodes_.size() - 1);
   }
 
-  const int dim = static_cast<int>(points_.front().size());
-  const int axis = depth % dim;
+  const int axis = depth % static_cast<int>(dim_);
   const std::size_t mid = begin + (end - begin) / 2;
-  std::nth_element(order_.begin() + static_cast<long>(begin),
-                   order_.begin() + static_cast<long>(mid),
-                   order_.begin() + static_cast<long>(end),
+  std::nth_element(order.begin() + static_cast<long>(begin),
+                   order.begin() + static_cast<long>(mid),
+                   order.begin() + static_cast<long>(end),
                    [&](std::size_t a, std::size_t b) {
-                     return points_[a][static_cast<std::size_t>(axis)] <
-                            points_[b][static_cast<std::size_t>(axis)];
+                     return points[a][static_cast<std::size_t>(axis)] <
+                            points[b][static_cast<std::size_t>(axis)];
                    });
   node.axis = axis;
-  node.threshold = points_[order_[mid]][static_cast<std::size_t>(axis)];
+  node.threshold = points[order[mid]][static_cast<std::size_t>(axis)];
 
   const int self = static_cast<int>(nodes_.size());
   nodes_.push_back(node);
-  const int left = build(begin, mid, depth + 1);
-  const int right = build(mid, end, depth + 1);
+  const int left = build(points, order, begin, mid, depth + 1);
+  const int right = build(points, order, mid, end, depth + 1);
   nodes_[static_cast<std::size_t>(self)].left = left;
   nodes_[static_cast<std::size_t>(self)].right = right;
   return self;
@@ -60,9 +57,14 @@ void KdTree::search(int node_index, const Feature& query,
   const Node& node = nodes_[static_cast<std::size_t>(node_index)];
   if (node.axis < 0) {
     // Leaf: scan the range; maintain a max-heap of the best k.
-    for (std::size_t i = node.begin; i < node.end; ++i) {
-      const std::size_t p = order_[i];
-      const double dist = sq_dist(points_[p], query);
+    const double* point = coords_.data() + node.begin * dim_;
+    for (std::size_t i = node.begin; i < node.end; ++i, point += dim_) {
+      double dist = 0.0;
+      for (std::size_t d = 0; d < dim_; ++d) {
+        const double delta = point[d] - query[d];
+        dist += delta * delta;
+      }
+      const std::size_t p = ids_[i];
       if (heap.size() < k) {
         heap.emplace_back(dist, p);
         std::push_heap(heap.begin(), heap.end());
@@ -87,25 +89,24 @@ void KdTree::search(int node_index, const Feature& query,
 }
 
 std::vector<std::size_t> KdTree::nearest(const Feature& query, int k) const {
-  std::vector<std::pair<double, std::size_t>> heap;
+  std::vector<std::pair<double, std::size_t>> found;
+  nearest_into(query, k, found);
   std::vector<std::size_t> out;
-  nearest_into(query, k, heap, out);
+  out.reserve(found.size());
+  for (const auto& [dist, index] : found) out.push_back(index);
   return out;
 }
 
-void KdTree::nearest_into(const Feature& query, int k,
-                          std::vector<std::pair<double, std::size_t>>& heap,
-                          std::vector<std::size_t>& out) const {
-  assert(!points_.empty());
+void KdTree::nearest_into(
+    const Feature& query, int k,
+    std::vector<std::pair<double, std::size_t>>& out) const {
+  assert(!empty() && query.size() == dim_);
   const std::size_t kk =
-      std::min<std::size_t>(static_cast<std::size_t>(k), points_.size());
-  heap.clear();
-  heap.reserve(kk + 1);
-  search(root_, query, heap, kk);
-  std::sort_heap(heap.begin(), heap.end());
+      std::min<std::size_t>(static_cast<std::size_t>(k), size());
   out.clear();
-  out.reserve(heap.size());
-  for (const auto& [dist, index] : heap) out.push_back(index);
+  out.reserve(kk + 1);
+  search(root_, query, out, kk);
+  std::sort_heap(out.begin(), out.end());
 }
 
 }  // namespace mvs::ml

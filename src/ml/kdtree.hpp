@@ -10,6 +10,7 @@
 // force — verified by tests — so KnnIndex can use it transparently.
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "ml/model.hpp"
@@ -20,29 +21,28 @@ class KdTree {
  public:
   KdTree() = default;
 
-  /// Build over `points` (copied). All points must share one dimension.
-  explicit KdTree(std::vector<Feature> points);
+  /// Build over `points`. All points must share one dimension. The tree
+  /// keeps its own copy, flat and in leaf order.
+  explicit KdTree(const std::vector<Feature>& points);
 
-  std::size_t size() const { return points_.size(); }
-  bool empty() const { return points_.empty(); }
-  const Feature& point(std::size_t index) const { return points_[index]; }
+  std::size_t size() const { return ids_.size(); }
+  bool empty() const { return ids_.empty(); }
 
   /// Indices of the k nearest points to `query` under squared L2,
   /// ordered nearest-first. k is capped at size().
   std::vector<std::size_t> nearest(const Feature& query, int k) const;
 
-  /// nearest() into caller-owned buffers: `heap` is working memory, `out`
-  /// receives the indices (cleared first). Same results; warm calls
-  /// allocate nothing.
+  /// nearest() into a caller-owned buffer: `out` receives (squared
+  /// distance, index) pairs, nearest first (cleared first, and used as the
+  /// search heap). Same neighbours; warm calls allocate nothing.
   void nearest_into(const Feature& query, int k,
-                    std::vector<std::pair<double, std::size_t>>& heap,
-                    std::vector<std::size_t>& out) const;
+                    std::vector<std::pair<double, std::size_t>>& out) const;
 
  private:
   struct Node {
     int axis = -1;          ///< split dimension; -1 for leaves
     double threshold = 0.0;
-    std::size_t begin = 0;  ///< leaf: range into order_
+    std::size_t begin = 0;  ///< leaf: range of leaf-order slots
     std::size_t end = 0;
     int left = -1;          ///< child node indices
     int right = -1;
@@ -50,13 +50,16 @@ class KdTree {
 
   static constexpr std::size_t kLeafSize = 8;
 
-  int build(std::size_t begin, std::size_t end, int depth);
+  int build(const std::vector<Feature>& points,
+            std::vector<std::size_t>& order, std::size_t begin,
+            std::size_t end, int depth);
   void search(int node, const Feature& query,
               std::vector<std::pair<double, std::size_t>>& heap,
               std::size_t k) const;
 
-  std::vector<Feature> points_;
-  std::vector<std::size_t> order_;  ///< permutation partitioned by the tree
+  std::size_t dim_ = 0;
+  std::vector<double> coords_;    ///< dim_ values per slot, in leaf order
+  std::vector<std::size_t> ids_;  ///< input index of each slot
   std::vector<Node> nodes_;
   int root_ = -1;
 };

@@ -41,11 +41,13 @@ void KnnIndex::fit(const std::vector<Feature>& xs) {
 void KnnIndex::search(const Feature& x, int k, Neighbours& out) const {
   assert(!tree_.empty());
   scaler_.transform_into(x, out.query);
-  tree_.nearest_into(out.query, k, out.heap, out.index);
+  tree_.nearest_into(out.query, k, out.found);
+  out.index.clear();
   out.weight.clear();
-  for (std::size_t i : out.index)
-    out.weight.push_back(
-        1.0 / (1e-6 + std::sqrt(sq_dist(tree_.point(i), out.query))));
+  for (const auto& [dist, i] : out.found) {
+    out.index.push_back(i);
+    out.weight.push_back(1.0 / (1e-6 + std::sqrt(dist)));
+  }
 }
 
 double knn_vote(const Neighbours& nn, const std::vector<int>& labels) {

@@ -21,7 +21,8 @@ struct Neighbours {
   std::vector<std::size_t> index;  ///< training rows, nearest first
   std::vector<double> weight;      ///< 1 / (1e-6 + distance), per row
   Feature query;                   ///< scaled query (working memory)
-  std::vector<std::pair<double, std::size_t>> heap;  ///< working memory
+  /// (squared distance, row) nearest first (working memory).
+  std::vector<std::pair<double, std::size_t>> found;
 };
 
 /// Standardized training points in an exact kd-tree.

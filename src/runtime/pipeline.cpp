@@ -83,9 +83,10 @@ struct CameraNode {
   vision::Renderer renderer;
   vision::OpticalFlow flow_engine;
   track::FlowTracker tracker;
-  /// Per-camera frame/pyramid/flow scratch: the current frame is rendered
-  /// into `scratch`, whose previous-frame pyramid persists across frames so
-  /// each regular frame builds exactly one pyramid and reallocates nothing.
+  /// Per-camera pyramid/flow scratch: the current frame is rendered
+  /// straight into its level 0, and the previous-frame pyramid persists
+  /// across frames, so each regular frame builds exactly one pyramid and
+  /// reallocates nothing.
   vision::FlowScratch scratch;
   vision::FlowField flow;
   std::vector<Ghost> ghosts;
@@ -148,9 +149,10 @@ struct CameraNode {
           {o.id, geom::BBox{o.box.x / render_scale, o.box.y / render_scale,
                             o.box.w / render_scale, o.box.h / render_scale}});
     }
-    renderer.render_into(render_objs, frame,
-                         0x5EED0000ULL + static_cast<std::uint64_t>(index),
-                         scratch.cur_frame());
+    renderer.render_into(
+        render_objs, frame, 0x5EED0000ULL + static_cast<std::uint64_t>(index),
+        flow_engine.render_target(scratch, renderer.config().width,
+                                  renderer.config().height));
   }
 
   /// Has `box` left this camera's view (degenerate, or its clamped part
@@ -1103,7 +1105,7 @@ struct Pipeline::Impl {
   /// batch buffer — the real data-movement cost behind GPU batching, which
   /// is what the paper's "Batching" overhead column measures.
   void assemble_batches(CameraNode& cam) {
-    const vision::Image& frame = cam.scratch.cur_frame();
+    const vision::PaddedImage& frame = cam.scratch.cur_frame();
     const std::vector<vision::SliceRegion>& slices = cam.step.slices;
     std::size_t total = 0;
     for (const vision::SliceRegion& s : slices) {

@@ -174,48 +174,53 @@ std::uint32_t padded_block_sad(const PaddedImage& a, int ax, int ay,
 }
 
 void FlowScratch::advance() {
-  std::swap(prev_img_, cur_img_);
-  std::swap(prev_lv_, cur_lv_);
   std::swap(prev_pad_, cur_pad_);
   ready_ = built_;
   built_ = false;
 }
 
-int OpticalFlow::build_cur_pyramid(FlowScratch& s) const {
-  const Image& base = s.cur_img_;
-  assert(!base.empty());
-
+int OpticalFlow::level_count(int width, int height) const {
   // Same stopping rule as the reference: level l exists iff level l-1 is at
   // least 2 blocks wide and tall.
   int levels = 1;
-  {
-    int w = base.width(), h = base.height();
-    while (levels < cfg_.pyramid_levels && w >= 2 * cfg_.block_size &&
-           h >= 2 * cfg_.block_size) {
-      w = std::max(1, w / 2);
-      h = std::max(1, h / 2);
-      ++levels;
-    }
+  while (levels < cfg_.pyramid_levels && width >= 2 * cfg_.block_size &&
+         height >= 2 * cfg_.block_size) {
+    width = std::max(1, width / 2);
+    height = std::max(1, height / 2);
+    ++levels;
   }
+  return levels;
+}
 
-  s.cur_lv_.resize(static_cast<std::size_t>(levels - 1));
-  s.cur_pad_.resize(static_cast<std::size_t>(levels));
-  for (int l = 1; l < levels; ++l) {
-    const Image& src = (l == 1) ? base : s.cur_lv_[static_cast<std::size_t>(l - 2)];
-    src.downsample_into(s.cur_lv_[static_cast<std::size_t>(l - 1)]);
-  }
+int OpticalFlow::level_pad(int levels, int level, int width) const {
   // Pad covers the worst-case block read at each level: the seed chain bounds
   // the displacement at level l by r * (2^(levels-l) - 1), and the block
   // itself extends block_size pixels past its origin. The 8x8 pair matcher
   // reads two blocks from each even block's origin; past the last block
   // that stays inside one block side of the image edge, unless the level is
   // narrower than one block (DESIGN.md §7), which the last term covers.
-  for (int l = 0; l < levels; ++l) {
-    const Image& img = (l == 0) ? base : s.cur_lv_[static_cast<std::size_t>(l - 1)];
-    const int pad = cfg_.search_radius * ((1 << (levels - l)) - 1) +
-                    cfg_.block_size +
-                    std::max(0, cfg_.block_size - img.width());
-    s.cur_pad_[static_cast<std::size_t>(l)].assign(img, pad);
+  return cfg_.search_radius * ((1 << (levels - level)) - 1) +
+         cfg_.block_size + std::max(0, cfg_.block_size - width);
+}
+
+PaddedImage& OpticalFlow::render_target(FlowScratch& s, int width,
+                                        int height) const {
+  assert(width > 0 && height > 0);
+  const int levels = level_count(width, height);
+  s.cur_pad_.resize(static_cast<std::size_t>(levels));
+  PaddedImage& base = s.cur_pad_.front();
+  base.reshape(width, height, level_pad(levels, 0, width));
+  s.built_ = false;
+  return base;
+}
+
+int OpticalFlow::build_cur_pyramid(FlowScratch& s) const {
+  assert(!s.cur_pad_.empty() && !s.cur_pad_.front().empty());
+  const int levels = static_cast<int>(s.cur_pad_.size());
+  for (int l = 1; l < levels; ++l) {
+    const PaddedImage& src = s.cur_pad_[static_cast<std::size_t>(l - 1)];
+    src.downsample_into(s.cur_pad_[static_cast<std::size_t>(l)],
+                        level_pad(levels, l, std::max(1, src.width() / 2)));
   }
   s.built_ = true;
   return levels;
@@ -345,9 +350,8 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
 void OpticalFlow::compute(FlowScratch& scratch, FlowField& out,
                           util::ThreadPool* pool) const {
   assert(scratch.ready());
-  assert(!scratch.cur_img_.empty() &&
-         scratch.cur_img_.width() == scratch.prev_img_.width() &&
-         scratch.cur_img_.height() == scratch.prev_img_.height());
+  assert(scratch.cur_frame().width() == scratch.prev_pad_.front().width() &&
+         scratch.cur_frame().height() == scratch.prev_pad_.front().height());
 
   const int levels = build_cur_pyramid(scratch);
   assert(static_cast<int>(scratch.prev_pad_.size()) == levels);
@@ -389,9 +393,13 @@ FlowField OpticalFlow::compute(const Image& prev, const Image& cur) const {
   assert(!prev.empty() && prev.width() == cur.width() &&
          prev.height() == cur.height());
   FlowScratch scratch;
-  scratch.cur_frame() = prev;
+  auto load = [&](const Image& frame) {
+    PaddedImage& target = render_target(scratch, frame.width(), frame.height());
+    target.assign(frame, target.pad());
+  };
+  load(prev);
   rebase(scratch);
-  scratch.cur_frame() = cur;
+  load(cur);
   FlowField out;
   compute(scratch, out, nullptr);
   return out;

@@ -79,16 +79,17 @@ class SadBlock {
 std::uint32_t padded_block_sad(const PaddedImage& a, int ax, int ay,
                                const PaddedImage& b, int bx, int by, int size);
 
-/// Per-camera scratch state for incremental flow computation: the current
-/// frame to render into, both frames' pyramids (image + padded levels), and
-/// the per-level match buffers. advance() promotes the current frame's
-/// pyramid to "previous" in O(1) (buffer swaps), so consecutive frames build
-/// one pyramid each instead of two.
+/// Per-camera scratch state for incremental flow computation: both frames'
+/// pyramids, one edge-padded plane per level, and the per-level match
+/// buffers. The caller renders the new frame straight into the current
+/// pyramid's level 0 (OpticalFlow::render_target). advance() promotes the
+/// current frame's pyramid to "previous" in O(1) (buffer swaps), so
+/// consecutive frames build one pyramid each instead of two.
 class FlowScratch {
  public:
-  /// Level-0 frame the caller renders the new frame into.
-  Image& cur_frame() { return cur_img_; }
-  const Image& cur_frame() const { return cur_img_; }
+  /// Level 0 of the current frame, as last shaped by
+  /// OpticalFlow::render_target.
+  const PaddedImage& cur_frame() const { return cur_pad_.front(); }
 
   /// True once a previous-frame pyramid is in place (i.e. compute() may run).
   bool ready() const { return ready_; }
@@ -105,8 +106,6 @@ class FlowScratch {
 
  private:
   friend class OpticalFlow;
-  Image prev_img_, cur_img_;
-  std::vector<Image> prev_lv_, cur_lv_;         ///< levels 1.. (0 = *_img_)
   std::vector<PaddedImage> prev_pad_, cur_pad_; ///< padded levels 0..
   std::vector<geom::Vec2> est_, coarse_;        ///< per-level match buffers
   bool built_ = false;  ///< cur pyramid valid (set by the builder)
@@ -125,8 +124,16 @@ class OpticalFlow {
   explicit OpticalFlow(Config cfg) : cfg_(cfg) {}
 
   /// Compute block motion from `prev` to `cur` (same dimensions, non-empty).
-  /// Convenience path: copies both frames into a throwaway FlowScratch.
+  /// Convenience path: copies both frames into the padded level-0 planes
+  /// of a throwaway FlowScratch.
   FlowField compute(const Image& prev, const Image& cur) const;
+
+  /// Shape the current frame's level 0 in `scratch` to width x height with
+  /// the pad its pyramid needs, and return it. Write the new frame into it
+  /// with Renderer::render_into or PaddedImage::assign (both fill the
+  /// border), then call compute() or rebase().
+  PaddedImage& render_target(FlowScratch& scratch, int width,
+                             int height) const;
 
   /// Incremental path: compute block motion from the scratch's previous
   /// frame to scratch.cur_frame(), reusing every buffer. Requires
@@ -145,7 +152,14 @@ class OpticalFlow {
   const Config& config() const { return cfg_; }
 
  private:
-  /// Build pyramid + padded levels for the current frame; returns level count.
+  /// Levels of the pyramid over a width x height frame.
+  int level_count(int width, int height) const;
+
+  /// Border of level `level` (of `levels`), `width` pixels wide.
+  int level_pad(int levels, int level, int width) const;
+
+  /// Downsample the current frame's level 0 into levels 1..; returns the
+  /// level count.
   int build_cur_pyramid(FlowScratch& scratch) const;
 
   void match_level(const PaddedImage& pa, const PaddedImage& pb,
