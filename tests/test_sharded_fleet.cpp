@@ -41,6 +41,14 @@ SessionSpec pipeline_spec(const std::string& name, std::uint64_t seed,
   return s;
 }
 
+/// "s<i>". Appended rather than written "s" + std::to_string(i), which
+/// GCC 12 at -O3 flags with a false -Wrestrict.
+std::string session_name(int i) {
+  std::string name = "s";
+  name += std::to_string(i);
+  return name;
+}
+
 SessionSpec synthetic_spec(const std::string& name, std::uint64_t seed) {
   SessionSpec s;
   s.name = name;
@@ -135,7 +143,7 @@ TEST(FleetPlane, ForcedMigrationConservesSessionStats) {
   std::vector<SessionHandle> handles;
   std::vector<SessionHandle> twin_handles;
   for (int i = 0; i < 4; ++i) {
-    const std::string name = "s" + std::to_string(i);
+    const std::string name = session_name(i);
     const AdmitResult r = fleet.admit(synthetic_spec(name, 100 + i));
     const AdmitResult t = twin.admit(synthetic_spec(name, 100 + i));
     ASSERT_TRUE(r.admitted);
@@ -206,7 +214,7 @@ TEST(FleetPlane, RebalanceScanMigratesOffTheHottestShard) {
 
   std::vector<AdmitResult> admits;
   for (int i = 0; i < 8; ++i)
-    admits.push_back(fleet.admit(synthetic_spec("s" + std::to_string(i),
+    admits.push_back(fleet.admit(synthetic_spec(session_name(i),
                                                 200 + i)));
   int evicted = 0;
   for (const AdmitResult& r : admits) {
@@ -314,7 +322,7 @@ TEST(FleetPlane, OnlyAnAdmittedSessionGrowsTheWheels) {
     std::vector<SessionHandle> handles;
     for (int i = 0; i < shards; ++i) {
       const AdmitResult r =
-          fleet.admit(synthetic_spec("s" + std::to_string(i), 991 + i));
+          fleet.admit(synthetic_spec(session_name(i), 991 + i));
       ASSERT_TRUE(r.admitted);
       handles.push_back(r.handle);
     }
@@ -348,7 +356,7 @@ TEST(FleetPlane, PlacementIsDeterministicAcrossThreadCounts) {
     std::vector<int> shards;
     for (int i = 0; i < 32; ++i) {
       const AdmitResult r =
-          fleet->admit(synthetic_spec("s" + std::to_string(i), 300 + i));
+          fleet->admit(synthetic_spec(session_name(i), 300 + i));
       EXPECT_TRUE(r.admitted);
       shards.push_back(r.shard);
     }
@@ -368,7 +376,7 @@ TEST(FleetPlane, ShardCapacityRejectsInConstantTimeOncefull) {
   Fleet fleet(cfg);
   for (int i = 0; i < 6; ++i)
     ASSERT_TRUE(
-        fleet.admit(synthetic_spec("s" + std::to_string(i), 400 + i)).admitted);
+        fleet.admit(synthetic_spec(session_name(i), 400 + i)).admitted);
   const AdmitResult overflow = fleet.admit(synthetic_spec("over", 499));
   EXPECT_FALSE(overflow.admitted);
   EXPECT_FALSE(overflow.handle.valid());
@@ -393,7 +401,7 @@ TEST(FleetPlane, CrossShardMergeSavingsZeroAtOneShardPositiveAtTwo) {
     Fleet fleet(cfg);
     for (int i = 0; i < 2 * shards; ++i)
       EXPECT_TRUE(
-          fleet.admit(synthetic_spec("s" + std::to_string(i), 500 + i))
+          fleet.admit(synthetic_spec(session_name(i), 500 + i))
               .admitted);
     fleet.run(12);
     const FleetSnapshot snap = fleet.snapshot();
@@ -528,7 +536,7 @@ TEST(FleetPlane, ObsDeterministicAcrossThreadCounts) {
     Fleet fleet(cfg);
     for (int i = 0; i < 8; ++i)
       EXPECT_TRUE(
-          fleet.admit(synthetic_spec("s" + std::to_string(i), 800 + i))
+          fleet.admit(synthetic_spec(session_name(i), 800 + i))
               .admitted);
     fleet.run(12);
     Observed o;
@@ -615,7 +623,7 @@ TEST(FleetPlane, ThousandSyntheticSessionsAdmitAndServe) {
   Fleet fleet(cfg);
   for (int i = 0; i < 1000; ++i)
     ASSERT_TRUE(
-        fleet.admit(synthetic_spec("s" + std::to_string(i), 1000 + i))
+        fleet.admit(synthetic_spec(session_name(i), 1000 + i))
             .admitted);
   EXPECT_EQ(fleet.session_count(), 1000u);
   fleet.run(3);
