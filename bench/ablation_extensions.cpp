@@ -1,5 +1,5 @@
 // Extension ablations (paper Sec. V future work, implemented in
-// core/extensions.hpp and core/offload.hpp):
+// bench/support/extensions.hpp and bench/support/offload.hpp):
 //   (1) Redundant K-coverage BALB: latency cost of tracking every shared
 //       object from K cameras (occlusion insurance).
 //   (2) Quality-aware BALB: mean tracking quality vs system latency across
@@ -11,10 +11,10 @@
 #include <map>
 
 #include "core/central_balb.hpp"
-#include "core/extensions.hpp"
-#include "core/offload.hpp"
 #include "sim/dataset.hpp"
 #include "sim/scenario.hpp"
+#include "support/extensions.hpp"
+#include "support/offload.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

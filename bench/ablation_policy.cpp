@@ -42,8 +42,8 @@
 #include "policy/policy.hpp"
 #include "policy/train.hpp"
 #include "runtime/pipeline.hpp"
+#include "support/bench_info.hpp"
 #include "util/args.hpp"
-#include "util/bench_info.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "fleet/fleet_api.hpp"
+#include "support/bench_info.hpp"
 #include "util/args.hpp"
-#include "util/bench_info.hpp"
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"

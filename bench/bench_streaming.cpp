@@ -51,8 +51,8 @@
 #include "runtime/config.hpp"
 #include "runtime/pipeline.hpp"
 #include "sim/scenario.hpp"
+#include "support/bench_info.hpp"
 #include "util/args.hpp"
-#include "util/bench_info.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 

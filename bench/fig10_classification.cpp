@@ -14,9 +14,9 @@
 #include "ml/decision_tree.hpp"
 #include "ml/knn.hpp"
 #include "ml/logistic.hpp"
-#include "ml/random_forest.hpp"
-#include "ml/svm.hpp"
 #include "sim/dataset.hpp"
+#include "support/random_forest.hpp"
+#include "support/svm.hpp"
 #include "util/table.hpp"
 
 namespace {

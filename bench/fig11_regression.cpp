@@ -11,11 +11,11 @@
 #include <memory>
 
 #include "assoc/association.hpp"
-#include "ml/homography.hpp"
 #include "ml/knn.hpp"
-#include "ml/linear_model.hpp"
-#include "ml/ransac.hpp"
 #include "sim/dataset.hpp"
+#include "support/homography.hpp"
+#include "support/linear_model.hpp"
+#include "support/ransac.hpp"
 #include "util/table.hpp"
 
 namespace {

@@ -1,4 +1,4 @@
-#include "util/bench_info.hpp"
+#include "support/bench_info.hpp"
 
 #include <algorithm>
 #include <ctime>

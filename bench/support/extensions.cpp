@@ -1,4 +1,4 @@
-#include "core/extensions.hpp"
+#include "support/extensions.hpp"
 
 #include <algorithm>
 #include <cassert>

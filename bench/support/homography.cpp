@@ -1,10 +1,10 @@
-#include "ml/homography.hpp"
+#include "support/homography.hpp"
 
 #include <cassert>
 #include <cmath>
 #include <limits>
 
-#include "linalg/solve.hpp"
+#include "support/solve.hpp"
 
 namespace mvs::ml {
 

@@ -1,8 +1,8 @@
-#include "ml/linear_model.hpp"
+#include "support/linear_model.hpp"
 
 #include <cassert>
 
-#include "linalg/solve.hpp"
+#include "support/solve.hpp"
 
 namespace mvs::ml {
 

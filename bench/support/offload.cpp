@@ -1,4 +1,4 @@
-#include "core/offload.hpp"
+#include "support/offload.hpp"
 
 #include <algorithm>
 #include <cassert>

@@ -1,4 +1,4 @@
-#include "ml/random_forest.hpp"
+#include "support/random_forest.hpp"
 
 #include <cassert>
 

@@ -1,4 +1,4 @@
-#include "ml/ransac.hpp"
+#include "support/ransac.hpp"
 
 #include <cassert>
 #include <cmath>

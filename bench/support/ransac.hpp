@@ -2,8 +2,8 @@
 // RANSAC-wrapped linear regression (Fig. 11 baseline): robust to outlier
 // correspondences produced by association noise / occlusions.
 
-#include "ml/linear_model.hpp"
 #include "ml/model.hpp"
+#include "support/linear_model.hpp"
 #include "util/rng.hpp"
 
 namespace mvs::ml {

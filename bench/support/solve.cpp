@@ -1,4 +1,4 @@
-#include "linalg/solve.hpp"
+#include "support/solve.hpp"
 
 #include <algorithm>
 #include <cassert>

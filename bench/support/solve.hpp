@@ -6,7 +6,7 @@
 #include <optional>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "support/matrix.hpp"
 
 namespace mvs::linalg {
 

@@ -1,4 +1,4 @@
-#include "ml/svm.hpp"
+#include "support/svm.hpp"
 
 #include <cassert>
 #include <cmath>

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "core/central_balb.hpp"
-#include "core/extensions.hpp"
-#include "core/offload.hpp"
-#include "sim/occlusion.hpp"
+#include "sim/dataset.hpp"
+#include "sim/scenario.hpp"
+#include "support/extensions.hpp"
+#include "support/offload.hpp"
 #include "util/rng.hpp"
 
 namespace mvs {
@@ -135,52 +139,6 @@ TEST(QualityAwareBalb, MeanQualityImprovesOnAverage) {
   EXPECT_GT(aware_total, blind_total);
 }
 
-detect::GroundTruthObject gt(std::uint64_t id, geom::BBox box, double dist) {
-  detect::GroundTruthObject obj;
-  obj.id = id;
-  obj.box = box;
-  obj.distance_m = dist;
-  return obj;
-}
-
-TEST(Occlusion, CloserObjectHides) {
-  const std::vector<detect::GroundTruthObject> objs = {
-      gt(1, {100, 100, 50, 50}, 10.0),   // closer, big
-      gt(2, {110, 110, 30, 30}, 30.0),   // fully inside 1's box, farther
-  };
-  const auto visible = sim::apply_occlusion(objs, {0.6, true});
-  ASSERT_EQ(visible.size(), 1u);
-  EXPECT_EQ(visible[0].id, 1u);
-  const auto events = sim::occlusion_events(objs, {0.6, true});
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].occluded_id, 2u);
-  EXPECT_EQ(events[0].occluder_id, 1u);
-  EXPECT_GT(events[0].covered_fraction, 0.99);
-}
-
-TEST(Occlusion, FartherObjectCannotOcclude) {
-  const std::vector<detect::GroundTruthObject> objs = {
-      gt(1, {100, 100, 50, 50}, 40.0),
-      gt(2, {110, 110, 30, 30}, 10.0),  // closer small object, not hidden
-  };
-  const auto visible = sim::apply_occlusion(objs, {0.6, true});
-  EXPECT_EQ(visible.size(), 2u);
-}
-
-TEST(Occlusion, PartialOverlapBelowThresholdKept) {
-  const std::vector<detect::GroundTruthObject> objs = {
-      gt(1, {100, 100, 50, 50}, 10.0),
-      gt(2, {140, 140, 50, 50}, 30.0),  // ~4% covered
-  };
-  EXPECT_EQ(sim::apply_occlusion(objs, {0.6, true}).size(), 2u);
-}
-
-TEST(Occlusion, DisabledIsIdentity) {
-  const std::vector<detect::GroundTruthObject> objs = {
-      gt(1, {100, 100, 50, 50}, 10.0), gt(2, {110, 110, 30, 30}, 30.0)};
-  EXPECT_EQ(sim::apply_occlusion(objs, {0.6, false}).size(), 2u);
-}
-
 TEST(ViewSelection, SingleCameraCoversAll) {
   core::ViewSelectionProblem p;
   p.objects_per_camera = {{1, 2, 3}, {1, 2}};
@@ -241,6 +199,68 @@ TEST_P(GreedyCoverGap, WithinLogFactor) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyCoverGap, ::testing::Range(0, 12));
+
+TEST(Integration, RedundantAssignmentFromSimulatedCoverage) {
+  // Build an MVS instance from real simulator coverage sets and verify the
+  // K=2 extension covers shared objects twice.
+  sim::ScenarioPlayer player(sim::make_s1(4), 80.0);
+  const sim::MultiFrame frame = player.next();
+
+  core::MvsProblem problem;
+  for (const auto& cam : player.scenario().cameras)
+    problem.cameras.push_back(cam.device);
+  std::map<std::uint64_t, core::ObjectSpec> by_id;
+  const geom::SizeClassSet sizes;
+  for (std::size_t c = 0; c < frame.per_camera.size(); ++c) {
+    for (const auto& gt : frame.per_camera[c]) {
+      core::ObjectSpec& spec = by_id[gt.id];
+      if (spec.size_class.empty())
+        spec.size_class.assign(problem.cameras.size(), 0);
+      spec.key = gt.id;
+      spec.coverage.push_back(static_cast<int>(c));
+      spec.size_class[c] = sizes.quantize(gt.box);
+    }
+  }
+  for (auto& [id, spec] : by_id) problem.objects.push_back(spec);
+  if (problem.objects.empty()) GTEST_SKIP() << "no traffic this frame";
+
+  const core::Assignment a = core::redundant_balb(problem, {2});
+  EXPECT_TRUE(core::is_feasible(problem, a));
+  for (std::size_t j = 0; j < problem.object_count(); ++j) {
+    int trackers = 0;
+    for (std::size_t i = 0; i < problem.camera_count(); ++i)
+      trackers += a.x[i][j];
+    EXPECT_EQ(trackers,
+              std::min<int>(2, static_cast<int>(
+                                   problem.objects[j].coverage.size())));
+  }
+}
+
+TEST(Integration, ViewSelectionFromSimulatedFrames) {
+  sim::ScenarioPlayer player(sim::make_s1(4), 80.0);
+  const sim::MultiFrame frame = player.next();
+
+  core::ViewSelectionProblem problem;
+  for (const auto& cam : frame.per_camera) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& gt : cam) ids.push_back(gt.id);
+    problem.objects_per_camera.push_back(std::move(ids));
+    problem.upload_cost.push_back(10.0);  // equal-cost uplinks
+  }
+  const auto selection = core::select_views_greedy(problem);
+  EXPECT_EQ(selection.covered, selection.total_objects);
+  // Overlapping views: strictly fewer uploads than cameras when any object
+  // is shared.
+  std::map<std::uint64_t, int> seen;
+  for (const auto& cam : frame.per_camera)
+    for (const auto& gt : cam) ++seen[gt.id];
+  const bool any_shared =
+      std::any_of(seen.begin(), seen.end(),
+                  [](const auto& kv) { return kv.second >= 2; });
+  if (any_shared) {
+    EXPECT_LT(selection.cameras.size(), frame.per_camera.size());
+  }
+}
 
 }  // namespace
 }  // namespace mvs

@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "linalg/matrix.hpp"
-#include "linalg/solve.hpp"
+#include "support/matrix.hpp"
+#include "support/solve.hpp"
 #include "util/rng.hpp"
 
 namespace mvs::linalg {

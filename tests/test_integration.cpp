@@ -1,11 +1,9 @@
 // Cross-module integration tests: the full pipeline under stress conditions
 // (occlusion injection, horizon sweeps, policy invariants on every
-// scenario), plus the Sec. V extensions driven from simulator data.
+// scenario).
 
 #include <gtest/gtest.h>
 
-#include "core/extensions.hpp"
-#include "core/offload.hpp"
 #include "runtime/config.hpp"
 #include "runtime/pipeline.hpp"
 #include "sim/dataset.hpp"
@@ -94,68 +92,6 @@ TEST(Integration, OcclusionReducesVisibleGroundTruth) {
   }
   EXPECT_LT(n_with, n_without);
   EXPECT_GT(n_with, n_without / 2);  // occlusion thins, not empties
-}
-
-TEST(Integration, RedundantAssignmentFromSimulatedCoverage) {
-  // Build an MVS instance from real simulator coverage sets and verify the
-  // K=2 extension covers shared objects twice.
-  sim::ScenarioPlayer player(sim::make_s1(4), 80.0);
-  const sim::MultiFrame frame = player.next();
-
-  core::MvsProblem problem;
-  for (const auto& cam : player.scenario().cameras)
-    problem.cameras.push_back(cam.device);
-  std::map<std::uint64_t, core::ObjectSpec> by_id;
-  const geom::SizeClassSet sizes;
-  for (std::size_t c = 0; c < frame.per_camera.size(); ++c) {
-    for (const auto& gt : frame.per_camera[c]) {
-      core::ObjectSpec& spec = by_id[gt.id];
-      if (spec.size_class.empty())
-        spec.size_class.assign(problem.cameras.size(), 0);
-      spec.key = gt.id;
-      spec.coverage.push_back(static_cast<int>(c));
-      spec.size_class[c] = sizes.quantize(gt.box);
-    }
-  }
-  for (auto& [id, spec] : by_id) problem.objects.push_back(spec);
-  if (problem.objects.empty()) GTEST_SKIP() << "no traffic this frame";
-
-  const core::Assignment a = core::redundant_balb(problem, {2});
-  EXPECT_TRUE(core::is_feasible(problem, a));
-  for (std::size_t j = 0; j < problem.object_count(); ++j) {
-    int trackers = 0;
-    for (std::size_t i = 0; i < problem.camera_count(); ++i)
-      trackers += a.x[i][j];
-    EXPECT_EQ(trackers,
-              std::min<int>(2, static_cast<int>(
-                                   problem.objects[j].coverage.size())));
-  }
-}
-
-TEST(Integration, ViewSelectionFromSimulatedFrames) {
-  sim::ScenarioPlayer player(sim::make_s1(4), 80.0);
-  const sim::MultiFrame frame = player.next();
-
-  core::ViewSelectionProblem problem;
-  for (const auto& cam : frame.per_camera) {
-    std::vector<std::uint64_t> ids;
-    for (const auto& gt : cam) ids.push_back(gt.id);
-    problem.objects_per_camera.push_back(std::move(ids));
-    problem.upload_cost.push_back(10.0);  // equal-cost uplinks
-  }
-  const auto selection = core::select_views_greedy(problem);
-  EXPECT_EQ(selection.covered, selection.total_objects);
-  // Overlapping views: strictly fewer uploads than cameras when any object
-  // is shared.
-  std::map<std::uint64_t, int> seen;
-  for (const auto& cam : frame.per_camera)
-    for (const auto& gt : cam) ++seen[gt.id];
-  const bool any_shared =
-      std::any_of(seen.begin(), seen.end(),
-                  [](const auto& kv) { return kv.second >= 2; });
-  if (any_shared) {
-    EXPECT_LT(selection.cameras.size(), frame.per_camera.size());
-  }
 }
 
 TEST(Integration, ConfigDrivenRunMatchesDirectRun) {

@@ -3,13 +3,10 @@
 #include <cmath>
 
 #include "ml/decision_tree.hpp"
-#include "ml/homography.hpp"
+#include "ml/kdtree.hpp"
 #include "ml/knn.hpp"
-#include "ml/linear_model.hpp"
 #include "ml/logistic.hpp"
-#include "ml/ransac.hpp"
 #include "ml/scaler.hpp"
-#include "ml/svm.hpp"
 #include "util/rng.hpp"
 
 namespace mvs::ml {
@@ -69,7 +66,76 @@ TEST(KNearest, KLargerThanDataset) {
   EXPECT_EQ(k_nearest(xs, {0, 0}, 10).size(), 2u);
 }
 
-/// All four classifiers must separate clean blobs.
+std::vector<Feature> random_points(util::Rng& rng, std::size_t n,
+                                   std::size_t dim) {
+  std::vector<Feature> points(n, Feature(dim));
+  for (Feature& p : points)
+    for (double& v : p) v = rng.uniform(-10, 10);
+  return points;
+}
+
+TEST(KdTree, SinglePoint) {
+  ml::KdTree tree({{1.0, 2.0}});
+  const auto nn = tree.nearest({0.0, 0.0}, 3);
+  ASSERT_EQ(nn.size(), 1u);
+  EXPECT_EQ(nn[0], 0u);
+}
+
+TEST(KdTree, FindsExactPoint) {
+  util::Rng rng(1);
+  const auto points = random_points(rng, 100, 4);
+  ml::KdTree tree(points);
+  for (std::size_t probe = 0; probe < 100; probe += 7) {
+    const auto nn = tree.nearest(points[probe], 1);
+    ASSERT_EQ(nn.size(), 1u);
+    // The exact point (or an identical duplicate) must be returned.
+    EXPECT_EQ(points[nn[0]], points[probe]);
+  }
+}
+
+/// Exactness: kd-tree results equal brute force for every query, all sizes.
+class KdTreeVsBruteForce : public ::testing::TestWithParam<int> {};
+
+TEST_P(KdTreeVsBruteForce, IdenticalNeighborSets) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 37 + 5);
+  const std::size_t n = 5 + rng.index(300);
+  const std::size_t dim = 2 + rng.index(4);
+  const auto points = random_points(rng, n, dim);
+  ml::KdTree tree(points);
+  for (int q = 0; q < 20; ++q) {
+    Feature query(dim);
+    for (double& v : query) v = rng.uniform(-12, 12);
+    const int k = 1 + static_cast<int>(rng.index(8));
+    auto from_tree = tree.nearest(query, k);
+    auto brute = ml::k_nearest(points, query, k);
+    ASSERT_EQ(from_tree.size(), brute.size());
+    // Compare by distance (ties may order differently between methods).
+    auto dist = [&](std::size_t i) {
+      double s = 0.0;
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double delta = points[i][d] - query[d];
+        s += delta * delta;
+      }
+      return s;
+    };
+    for (std::size_t r = 0; r < brute.size(); ++r)
+      EXPECT_NEAR(dist(from_tree[r]), dist(brute[r]), 1e-9);
+    // Nearest-first ordering.
+    for (std::size_t r = 1; r < from_tree.size(); ++r)
+      EXPECT_LE(dist(from_tree[r - 1]), dist(from_tree[r]) + 1e-12);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KdTreeVsBruteForce, ::testing::Range(0, 15));
+
+TEST(KdTree, KCappedAtSize) {
+  util::Rng rng(2);
+  const auto points = random_points(rng, 6, 3);
+  ml::KdTree tree(points);
+  EXPECT_EQ(tree.nearest({0, 0, 0}, 100).size(), 6u);
+}
+
+/// Every classifier must separate clean blobs.
 template <typename Model>
 void expect_separates_blobs(Model model) {
   util::Rng rng(99);
@@ -88,28 +154,7 @@ TEST(KnnClassifier, SeparatesBlobs) { expect_separates_blobs(KnnClassifier(5)); 
 TEST(LogisticRegression, SeparatesBlobs) {
   expect_separates_blobs(LogisticRegression());
 }
-TEST(LinearSvm, SeparatesBlobs) { expect_separates_blobs(LinearSvm()); }
 TEST(DecisionTree, SeparatesBlobs) { expect_separates_blobs(DecisionTree()); }
-
-TEST(DecisionTree, XorNeedsDepth) {
-  // XOR is not linearly separable; the tree must get it, linear models not.
-  std::vector<Feature> xs;
-  std::vector<int> ys;
-  util::Rng rng(3);
-  for (int i = 0; i < 400; ++i) {
-    const double a = rng.uniform(-1, 1), b = rng.uniform(-1, 1);
-    xs.push_back({a, b});
-    ys.push_back((a > 0) != (b > 0) ? 1 : 0);
-  }
-  DecisionTree tree;
-  tree.fit(xs, ys);
-  EXPECT_GE(accuracy(tree, xs, ys), 0.95);
-  EXPECT_GE(tree.depth(), 2);
-
-  LinearSvm svm;
-  svm.fit(xs, ys);
-  EXPECT_LE(accuracy(svm, xs, ys), 0.75);  // linear model cannot solve XOR
-}
 
 TEST(DecisionTree, RespectsMaxDepth) {
   DecisionTree::Config cfg;
@@ -148,139 +193,6 @@ TEST(KnnRegressor, InterpolatesLocally) {
   model.fit(xs, ys);
   EXPECT_NEAR(model.predict({5.0})[0], 5.0, 0.5);
   EXPECT_NEAR(model.predict({2.4})[0], 2.4, 0.7);
-}
-
-TEST(LinearRegression, RecoversAffineMap) {
-  util::Rng rng(6);
-  std::vector<Feature> xs, ys;
-  for (int i = 0; i < 100; ++i) {
-    const double a = rng.uniform(-3, 3), b = rng.uniform(-3, 3);
-    xs.push_back({a, b});
-    ys.push_back({2 * a - b + 1, a + 3 * b - 2});  // two outputs
-  }
-  LinearRegression model;
-  model.fit(xs, ys);
-  const Feature pred = model.predict({1.0, 1.0});
-  EXPECT_NEAR(pred[0], 2.0, 1e-6);
-  EXPECT_NEAR(pred[1], 2.0, 1e-6);
-}
-
-TEST(MeanAbsoluteError, ZeroOnPerfectModel) {
-  std::vector<Feature> xs = {{0}, {1}, {2}};
-  std::vector<Feature> ys = {{0}, {2}, {4}};
-  LinearRegression model;
-  model.fit(xs, ys);
-  EXPECT_NEAR(mean_absolute_error(model, xs, ys), 0.0, 1e-6);
-}
-
-TEST(Ransac, IgnoresOutliers) {
-  util::Rng rng(7);
-  std::vector<Feature> xs, ys;
-  for (int i = 0; i < 100; ++i) {
-    const double a = rng.uniform(-3, 3);
-    xs.push_back({a});
-    // 20% gross outliers.
-    ys.push_back({i % 5 == 0 ? 100.0 : 2 * a + 1});
-  }
-  RansacRegressor::Config cfg;
-  cfg.inlier_threshold = 0.1;
-  cfg.sample_size = 4;
-  RansacRegressor ransac(cfg);
-  ransac.fit(xs, ys);
-  EXPECT_NEAR(ransac.predict({2.0})[0], 5.0, 0.2);
-  EXPECT_GE(ransac.inlier_count(), 70u);
-
-  // Plain least squares is dragged off by the outliers.
-  LinearRegression plain;
-  plain.fit(xs, ys);
-  EXPECT_GT(std::abs(plain.predict({2.0})[0] - 5.0), 2.0);
-}
-
-TEST(Homography, IdentityByDefault) {
-  Homography h;
-  const auto p = h.apply({3.0, 4.0});
-  EXPECT_DOUBLE_EQ(p[0], 3.0);
-  EXPECT_DOUBLE_EQ(p[1], 4.0);
-}
-
-TEST(Homography, RecoversSyntheticTransform) {
-  // Ground-truth projective map; estimate from 12 exact correspondences.
-  const std::array<double, 9> truth = {1.2, 0.1, 5.0, -0.2, 0.9,
-                                       -3.0, 1e-4, -2e-4, 1.0};
-  auto apply_truth = [&](double x, double y) {
-    const double w = truth[6] * x + truth[7] * y + truth[8];
-    return std::array<double, 2>{
-        (truth[0] * x + truth[1] * y + truth[2]) / w,
-        (truth[3] * x + truth[4] * y + truth[5]) / w};
-  };
-  std::vector<std::array<double, 2>> src, dst;
-  util::Rng rng(8);
-  for (int i = 0; i < 12; ++i) {
-    const double x = rng.uniform(0, 100), y = rng.uniform(0, 100);
-    src.push_back({x, y});
-    dst.push_back(apply_truth(x, y));
-  }
-  Homography h;
-  ASSERT_TRUE(h.estimate(src, dst));
-  for (int i = 0; i < 10; ++i) {
-    const double x = rng.uniform(0, 100), y = rng.uniform(0, 100);
-    const auto expect = apply_truth(x, y);
-    const auto got = h.apply({x, y});
-    EXPECT_NEAR(got[0], expect[0], 1e-4);
-    EXPECT_NEAR(got[1], expect[1], 1e-4);
-  }
-}
-
-TEST(Homography, RejectsTooFewPoints) {
-  Homography h;
-  EXPECT_FALSE(h.estimate({{0, 0}, {1, 1}, {2, 2}}, {{0, 0}, {1, 1}, {2, 2}}));
-}
-
-TEST(HomographyRegressor, MapsBoxesUnderTranslation) {
-  // Pure translation: boxes map exactly, so the regressor must too.
-  std::vector<Feature> xs, ys;
-  util::Rng rng(9);
-  for (int i = 0; i < 30; ++i) {
-    const double cx = rng.uniform(10, 90), cy = rng.uniform(10, 90);
-    const double w = rng.uniform(5, 15), h = rng.uniform(5, 15);
-    xs.push_back({cx, cy, w, h});
-    ys.push_back({cx + 20, cy - 10, w, h});
-  }
-  HomographyRegressor model;
-  model.fit(xs, ys);
-  const Feature pred = model.predict({50, 50, 10, 10});
-  EXPECT_NEAR(pred[0], 70, 0.5);
-  EXPECT_NEAR(pred[1], 40, 0.5);
-  EXPECT_NEAR(pred[2], 10, 0.5);
-}
-
-/// KNN beats plain linear regression on a non-linear mapping — the core
-/// claim behind the paper's choice of a data-driven lookup model (Fig. 11).
-TEST(RegressorComparison, KnnWinsOnNonlinearMap) {
-  util::Rng rng(10);
-  std::vector<Feature> xs, ys;
-  for (int i = 0; i < 400; ++i) {
-    const double cx = rng.uniform(0, 1), cy = rng.uniform(0, 1);
-    const double w = rng.uniform(0.02, 0.1), h = w * 1.5;
-    // Non-linear (perspective-like) warp.
-    const double denom = 0.4 + 0.6 * cy;
-    xs.push_back({cx, cy, w, h});
-    ys.push_back({cx / denom, cy * cy, w / denom, h / denom});
-  }
-  const std::size_t split = 300;
-  const std::vector<Feature> train_x(xs.begin(), xs.begin() + split);
-  const std::vector<Feature> train_y(ys.begin(), ys.begin() + split);
-  const std::vector<Feature> test_x(xs.begin() + split, xs.end());
-  const std::vector<Feature> test_y(ys.begin() + split, ys.end());
-
-  KnnRegressor knn(5);
-  knn.fit(train_x, train_y);
-  LinearRegression linear;
-  linear.fit(train_x, train_y);
-
-  const double knn_mae = mean_absolute_error(knn, test_x, test_y);
-  const double lin_mae = mean_absolute_error(linear, test_x, test_y);
-  EXPECT_LT(knn_mae, lin_mae);
 }
 
 }  // namespace

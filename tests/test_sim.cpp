@@ -6,6 +6,7 @@
 
 #include "sim/camera_model.hpp"
 #include "sim/dataset.hpp"
+#include "sim/occlusion.hpp"
 #include "sim/scenario.hpp"
 #include "sim/world.hpp"
 
@@ -271,6 +272,52 @@ TEST(ScenarioPlayer, S1WorkloadVariesOverTime) {
     counts.push_back(frame.per_camera[0].size());
   const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
   EXPECT_GT(*hi, *lo);  // non-constant workload
+}
+
+detect::GroundTruthObject gt(std::uint64_t id, geom::BBox box, double dist) {
+  detect::GroundTruthObject obj;
+  obj.id = id;
+  obj.box = box;
+  obj.distance_m = dist;
+  return obj;
+}
+
+TEST(Occlusion, CloserObjectHides) {
+  const std::vector<detect::GroundTruthObject> objs = {
+      gt(1, {100, 100, 50, 50}, 10.0),   // closer, big
+      gt(2, {110, 110, 30, 30}, 30.0),   // fully inside 1's box, farther
+  };
+  const auto visible = sim::apply_occlusion(objs, {0.6, true});
+  ASSERT_EQ(visible.size(), 1u);
+  EXPECT_EQ(visible[0].id, 1u);
+  const auto events = sim::occlusion_events(objs, {0.6, true});
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].occluded_id, 2u);
+  EXPECT_EQ(events[0].occluder_id, 1u);
+  EXPECT_GT(events[0].covered_fraction, 0.99);
+}
+
+TEST(Occlusion, FartherObjectCannotOcclude) {
+  const std::vector<detect::GroundTruthObject> objs = {
+      gt(1, {100, 100, 50, 50}, 40.0),
+      gt(2, {110, 110, 30, 30}, 10.0),  // closer small object, not hidden
+  };
+  const auto visible = sim::apply_occlusion(objs, {0.6, true});
+  EXPECT_EQ(visible.size(), 2u);
+}
+
+TEST(Occlusion, PartialOverlapBelowThresholdKept) {
+  const std::vector<detect::GroundTruthObject> objs = {
+      gt(1, {100, 100, 50, 50}, 10.0),
+      gt(2, {140, 140, 50, 50}, 30.0),  // ~4% covered
+  };
+  EXPECT_EQ(sim::apply_occlusion(objs, {0.6, true}).size(), 2u);
+}
+
+TEST(Occlusion, DisabledIsIdentity) {
+  const std::vector<detect::GroundTruthObject> objs = {
+      gt(1, {100, 100, 50, 50}, 10.0), gt(2, {110, 110, 30, 30}, 30.0)};
+  EXPECT_EQ(sim::apply_occlusion(objs, {0.6, false}).size(), 2u);
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "track/flow_tracker.hpp"
-#include "track/kalman.hpp"
-#include "track/sort_tracker.hpp"
-#include "util/rng.hpp"
 
 namespace mvs::track {
 namespace {
@@ -14,43 +11,6 @@ detect::Detection det_at(geom::BBox box, std::uint64_t truth = 1) {
   d.score = 0.9;
   d.truth_id = truth;
   return d;
-}
-
-TEST(Kalman, InitialStateMatchesBox) {
-  const geom::BBox box{100, 50, 40, 20};
-  KalmanBoxFilter kf(box);
-  const geom::BBox state = kf.state_box();
-  EXPECT_NEAR(state.center().x, box.center().x, 1e-6);
-  EXPECT_NEAR(state.area(), box.area(), 1e-3);
-}
-
-TEST(Kalman, LearnsConstantVelocity) {
-  KalmanBoxFilter kf(geom::BBox{0, 0, 20, 20});
-  // Feed measurements moving +5 px/frame in x.
-  for (int t = 1; t <= 20; ++t) {
-    kf.predict();
-    kf.update(geom::BBox{5.0 * t, 0, 20, 20});
-  }
-  // After convergence, prediction leads the last measurement by ~5 px.
-  const geom::BBox pred = kf.predict();
-  EXPECT_NEAR(pred.center().x, 5.0 * 21 + 10.0, 2.0);
-  EXPECT_NEAR(kf.velocity().x, 5.0, 1.0);
-  EXPECT_NEAR(kf.velocity().y, 0.0, 0.5);
-}
-
-TEST(Kalman, UpdatePullsTowardMeasurement) {
-  KalmanBoxFilter kf(geom::BBox{0, 0, 20, 20});
-  kf.predict();
-  kf.update(geom::BBox{40, 40, 20, 20});
-  const geom::BBox state = kf.state_box();
-  EXPECT_GT(state.center().x, 10.0);  // moved toward measurement
-}
-
-TEST(Kalman, DegenerateBoxSurvives) {
-  KalmanBoxFilter kf(geom::BBox{0, 0, 0, 0});
-  kf.predict();
-  kf.update(geom::BBox{1, 1, 0.1, 0.1});
-  EXPECT_GE(kf.state_box().area(), 0.0);
 }
 
 vision::FlowField uniform_flow(geom::Vec2 motion, int cols = 10,
@@ -162,44 +122,6 @@ TEST(FlowTracker, PredictedBoxesExported) {
   const auto boxes = tracker.predicted_boxes();
   ASSERT_EQ(boxes.size(), 1u);
   EXPECT_EQ(boxes[0].first, tracker.tracks()[0].id);
-}
-
-TEST(SortTracker, ConfirmsAfterMinHits) {
-  SortTracker tracker;
-  EXPECT_TRUE(tracker.step({det_at({10, 10, 20, 20}, 1)}).empty());
-  const auto confirmed = tracker.step({det_at({12, 10, 20, 20}, 1)});
-  ASSERT_EQ(confirmed.size(), 1u);
-  EXPECT_EQ(confirmed[0].hits, 2);
-}
-
-TEST(SortTracker, TracksThroughOcclusionGap) {
-  SortTracker tracker;
-  tracker.step({det_at({10, 10, 20, 20}, 1)});
-  tracker.step({det_at({15, 10, 20, 20}, 1)});
-  tracker.step({});  // one missed frame
-  const auto confirmed = tracker.step({det_at({25, 10, 20, 20}, 1)});
-  ASSERT_EQ(confirmed.size(), 1u);
-  EXPECT_EQ(tracker.track_count(), 1u);  // same identity, no duplicate birth
-}
-
-TEST(SortTracker, DropsLostTracks) {
-  SortTracker::Config cfg;
-  cfg.max_missed = 1;
-  SortTracker tracker(cfg);
-  tracker.step({det_at({10, 10, 20, 20}, 1)});
-  tracker.step({});
-  tracker.step({});
-  EXPECT_EQ(tracker.track_count(), 0u);
-}
-
-TEST(SortTracker, SeparateIdentities) {
-  SortTracker tracker;
-  for (int t = 0; t < 4; ++t) {
-    const double off = 3.0 * t;
-    tracker.step({det_at({10 + off, 10, 20, 20}, 1),
-                  det_at({200 - off, 200, 20, 20}, 2)});
-  }
-  EXPECT_EQ(tracker.track_count(), 2u);
 }
 
 }  // namespace
