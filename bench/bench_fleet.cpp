@@ -69,7 +69,7 @@ ScalePoint run_scale_point(const std::string& scenario, int sessions,
   cfg.shards = shards;
   cfg.threads = threads;
   cfg.rebalance_interval = 20;
-  const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
+  const std::unique_ptr<fleet::Fleet> fleet = fleet::make_fleet(cfg);
 
   ScalePoint point;
   point.sessions = sessions;
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
   util::Json::Array sweep;
 
   for (int n = 1; n <= max_sessions; ++n) {
-    const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
+    const std::unique_ptr<fleet::Fleet> fleet = fleet::make_fleet(cfg);
     std::vector<fleet::SessionHandle> handles;
     for (int s = 0; s < n; ++s) {
       fleet::SessionSpec spec;
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
     for (const double overhead : {0.0, sweep_overhead_ms}) {
       fleet::FleetConfig run_cfg = cfg;
       run_cfg.dispatch_overhead_ms = overhead;
-      const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(run_cfg);
+      const std::unique_ptr<fleet::Fleet> fleet = fleet::make_fleet(run_cfg);
       for (int s = 0; s < max_sessions; ++s) {
         fleet::SessionSpec spec;
         spec.name = scenario + "#" + std::to_string(s);

@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
   cfg.dispatch = fleet::DispatchPolicy::kWeightedPriority;
   cfg.readmit_interval = 10;      // reverse-ladder scan every 10 ticks
   cfg.allow_split = true;         // SLO-protective batch splitting
-  // The walkthrough drives the serving plane through FleetApi only — the
-  // same code serves several shards by setting cfg.shards > 1.
-  const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
+  // The walkthrough drives the serving plane through fleet_api.hpp only —
+  // the same code serves several shards by setting cfg.shards > 1.
+  const std::unique_ptr<fleet::Fleet> fleet = fleet::make_fleet(cfg);
 
   runtime::TraceRecorder trace;
   fleet->attach_trace(&trace);

@@ -1,10 +1,11 @@
-#include "fleet/fleet.hpp"
+#include "fleet/fleet_api.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <map>
 #include <utility>
 
+#include "fleet/shard.hpp"
 #include "obs/obs.hpp"
 #include "util/json.hpp"
 
@@ -308,7 +309,7 @@ FleetSnapshot Fleet::snapshot() const {
   return snap;
 }
 
-std::unique_ptr<FleetApi> make_fleet(const FleetConfig& config) {
+std::unique_ptr<Fleet> make_fleet(const FleetConfig& config) {
   return std::make_unique<Fleet>(config);
 }
 

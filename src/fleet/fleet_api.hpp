@@ -1,8 +1,7 @@
 #pragma once
-// mvs::fleet public serving interface.
+// mvs::fleet — the serving plane and its vocabulary.
 //
-// FleetApi is the one surface callers program against. Its one
-// implementation, the serving plane fleet::Fleet (fleet.hpp), hosts
+// fleet::Fleet is the one surface callers program against. It hosts
 // sessions on FleetConfig::shards shards — one is the ordinary case — so
 // examples, benches, and the CLI are written once and scale from one
 // session to ten thousand by raising the shard count. Sessions are addressed by
@@ -11,8 +10,8 @@
 // typed FleetStatus instead of silently addressing a reused slot.
 //
 // This header also owns the fleet vocabulary types — config, admission
-// result, rollup snapshots. Callers that include only this header see none
-// of the per-shard engine.
+// result, rollup snapshots. The per-shard engine (shard.hpp) is only
+// forward-declared here, so callers see none of it.
 
 #include <cstdint>
 #include <memory>
@@ -25,6 +24,8 @@
 #include "runtime/config.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/trace.hpp"
+#include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mvs::fleet {
 
@@ -33,6 +34,10 @@ namespace mvs::fleet {
 using runtime::DispatchPolicy;
 using runtime::parse_dispatch;
 using runtime::to_string;
+
+class Shard;
+struct SessionRecord;
+struct TickPlan;
 
 struct FleetConfig {
   /// Per-tick GPU latency deadline (ms). <= 0 disables admission control
@@ -197,59 +202,156 @@ struct FleetSnapshot {
 std::optional<FleetConfig> make_fleet_config(
     const runtime::FleetRunConfig& config, std::string* error = nullptr);
 
-/// The serving-plane interface, implemented by Fleet (fleet.hpp).
-class FleetApi {
+/// A Fleet hosts many concurrent runtime::Pipeline sessions (independent
+/// multi-view deployments) across FleetConfig::shards Shards (shard.hpp),
+/// each with its own GpuArbiter and tick wheel, all stepping concurrently on
+/// ONE shared util::ThreadPool. One shard is the ordinary case; the plane
+/// adds exactly four things on top of its shards (DESIGN.md §13):
+///
+///   Placement — admit() picks the least-loaded shard by static placement
+///   demand (Σ admission-time demand of hosted sessions, maintained
+///   incrementally, so placement is O(shards)); with shard_capacity set the
+///   per-shard headroom check is O(1). Ties go to the lowest shard index,
+///   so placement is deterministic and thread-count independent.
+///
+///   Directory — callers hold SessionHandles (handle.hpp); the handle table
+///   maps each to (shard, local id). The handle also lives in the session's
+///   record and travels with it on migration, so caller identity is
+///   migration-stable by construction.
+///
+///   Two-level merge — each shard merges its own sessions' work per tick
+///   (first level); the plane then folds every shard's executed merge cells
+///   per device class (second level) and accounts the batches/busy a
+///   plane-wide merge would additionally save (FleetSnapshot::
+///   cross_batches_saved / cross_busy_saved_ms). With one shard the saving
+///   is exactly zero.
+///
+///   Rebalance — every rebalance_interval ticks the plane compares windowed
+///   per-shard busy; when the hottest shard exceeds rebalance_high_water x
+///   the mean it migrates ONE session (the hottest shard's smallest-demand
+///   active session, the cheapest move) to the coldest shard, and only when
+///   the move strictly improves the static placement imbalance. The check
+///   runs before the session is touched, so a scan that finds no improving
+///   move changes nothing. One move per scan + the high-water band = the
+///   same hysteresis discipline as the shards' re-admission scan. Migration
+///   hands the whole SessionRecord over (Shard::detach/attach): stats,
+///   carryover debt, and the synthetic / pipeline state travel whole, so
+///   per-session frame counts and attributed busy are conserved exactly
+///   across any number of moves.
+///
+/// Wheel discipline: once the placement shard admits a session, every other
+/// shard's wheel grows to the session's rate, so the wheels stay equal
+/// forever and a migrated session's period/phase mean the same thing on the
+/// target shard (cadence-exact migration). A rejected admission leaves every
+/// wheel as it was.
+///
+/// A fleet of one unscaled full-rate session with the ideal transport
+/// reproduces a standalone Pipeline::run bit-identically (guarded by
+/// test_runtime.FleetOfOne...).
+class Fleet {
  public:
-  virtual ~FleetApi() = default;
+  /// max(1, config.shards) shards on one pool of config.threads workers,
+  /// owned by the plane.
+  explicit Fleet(const FleetConfig& config = {});
+  ~Fleet();
+
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
 
   /// Admission-controlled session creation: O(1) capacity check,
   /// least-loaded shard placement, then the shard's degrade ladder (see
   /// Shard::admit).
-  virtual AdmitResult admit(const SessionSpec& spec) = 0;
+  AdmitResult admit(const SessionSpec& spec);
 
   /// Lifecycle transitions. Evictions are final (kInvalidState to evict
   /// twice); an evicted session's result() survives until release().
-  virtual FleetStatus pause(SessionHandle handle) = 0;
-  virtual FleetStatus resume(SessionHandle handle) = 0;
-  virtual FleetStatus evict(SessionHandle handle) = 0;
+  FleetStatus pause(SessionHandle handle);
+  FleetStatus resume(SessionHandle handle);
+  FleetStatus evict(SessionHandle handle);
 
   /// Drop an EVICTED session's retained result and recycle its slot; the
   /// handle (and any copy of it) becomes permanently stale.
-  virtual FleetStatus release(SessionHandle handle) = 0;
+  FleetStatus release(SessionHandle handle);
 
   /// kEvicted for stale/unknown handles (it names no live session).
-  virtual SessionState state(SessionHandle handle) const = 0;
+  SessionState state(SessionHandle handle) const;
 
   /// Everything the session has run so far (survives eviction until
   /// release). Empty with *status = the typed error on a bad handle.
-  virtual runtime::PipelineResult result(
-      SessionHandle handle, FleetStatus* status = nullptr) const = 0;
+  runtime::PipelineResult result(SessionHandle handle,
+                                 FleetStatus* status = nullptr) const;
 
   /// Grow (delta > 0) or shrink (delta < 0) a device class's pool at
   /// runtime; pools never drop below one device. Applies to every shard's
   /// replica of the class. Returns the new per-shard pool size.
-  virtual int scale_devices(const std::string& device_class, int delta) = 0;
+  int scale_devices(const std::string& device_class, int delta);
 
-  /// Advance one wheel tick (all shards in lockstep).
-  virtual void step() = 0;
-
-  virtual long ticks() const = 0;
-  virtual int wheel_hz() const = 0;
-  virtual std::size_t session_count() const = 0;  ///< live, incl. paused
-  virtual FleetSnapshot snapshot() const = 0;
-
-  /// Record session lifecycle events (admit/reject/evict/pause/resume/
-  /// defer/readmit/migrate) plus device_scale and batch_split into
-  /// `trace`; pass nullptr to detach.
-  virtual void attach_trace(runtime::TraceRecorder* trace) = 0;
+  /// Step every shard one tick (concurrently on the shared pool), fold the
+  /// cross-shard merge level, and run the rebalance scan when due. All
+  /// shards advance in lockstep.
+  void step();
 
   void run(int ticks) {
     for (int t = 0; t < ticks; ++t) step();
   }
+
+  long ticks() const;
+  int wheel_hz() const;
+  std::size_t session_count() const;  ///< live, incl. paused
+  FleetSnapshot snapshot() const;
+
+  /// Record session lifecycle events (admit/reject/evict/pause/resume/
+  /// defer/readmit/migrate) plus device_scale and batch_split into
+  /// `trace`; pass nullptr to detach.
+  void attach_trace(runtime::TraceRecorder* trace);
+
+  int shard_count() const { return static_cast<int>(shards_.size()); }
+
+  /// Force one migration now (test/ops hook): move `handle`'s session to
+  /// `target_shard` regardless of load, via the same handover the
+  /// rebalance scan uses. kInvalidState when the session is evicted or
+  /// already on the target.
+  FleetStatus migrate(SessionHandle handle, int target_shard);
+
+ private:
+  struct Route {
+    Shard* shard = nullptr;
+    SessionRecord* session = nullptr;
+  };
+  /// Resolve a handle to its hosting shard and record.
+  Route resolve(SessionHandle handle, FleetStatus* status) const;
+  /// Hand `session` from `from` to `to` and repoint its directory entry.
+  void move(Shard& from, SessionRecord& session, Shard& to);
+  void rebalance_scan();
+  void record(runtime::TraceEventType type, int session_id, double value,
+              int shard = -1, int migrated_from = -1);
+
+  FleetConfig cfg_;
+  util::ThreadPool pool_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  HandleTable handles_;
+  runtime::TraceRecorder* trace_ = nullptr;
+
+  int base_fps_ = 10;
+  int rejected_ = 0;  ///< capacity rejections (shards count their own)
+  long migrations_ = 0;
+  long cross_batches_saved_ = 0;
+  double cross_busy_saved_ms_ = 0.0;
+  int rebalance_ticks_ = 0;
+  util::SampleSet tick_busy_ms_;  ///< Σ shard busy per plane tick
+
+  /// step() scratch reused across ticks so a warm plane tick allocates
+  /// nothing: the shards' plans and the cross-shard fold's cursors.
+  std::vector<const TickPlan*> plan_scratch_;
+  std::vector<std::size_t> fold_cursors_;
 };
 
-/// Build the serving plane (a Fleet of max(1, config.shards) shards) behind
-/// the interface, so callers need only this header.
-std::unique_ptr<FleetApi> make_fleet(const FleetConfig& config);
+/// The serving plane's former interface name. Fleet is the only serving
+/// type; the alias stays only because the benchmark of record
+/// (perfbench/perfbench.cpp) still names it.
+using FleetApi = Fleet;
+
+/// Build the serving plane: a Fleet of max(1, config.shards) shards.
+std::unique_ptr<Fleet> make_fleet(const FleetConfig& config);
 
 }  // namespace mvs::fleet

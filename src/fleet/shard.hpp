@@ -39,7 +39,7 @@
 // next submission, so attribution stays conservation-exact.
 //
 // The shard has no public lifecycle and no handle table: fleet::Fleet
-// (fleet.hpp) owns the caller-facing directory and addresses sessions here
+// (fleet_api.hpp) owns the caller-facing directory and addresses sessions here
 // by local id. Migration hands whole sessions over via detach()/attach():
 // the SessionRecord carries every stat, the carryover debt, the caller's
 // handle and the synthetic/pipeline state.
@@ -140,7 +140,7 @@ class Shard {
   /// rejected; *result describes the decision either way.
   SessionRecord* admit(const SessionSpec& spec, AdmitResult* result);
 
-  /// Lifecycle transitions on a hosted record (see FleetApi). Evictions
+  /// Lifecycle transitions on a hosted record (see Fleet). Evictions
   /// are final; release() drops an evicted record entirely.
   FleetStatus evict(SessionRecord& s);
   FleetStatus pause(SessionRecord& s);

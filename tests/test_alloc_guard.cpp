@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fleet/fleet.hpp"
+#include "fleet/fleet_api.hpp"
 #include "obs/obs.hpp"
 #include "policy/model.hpp"
 #include "rt/runner.hpp"

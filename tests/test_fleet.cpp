@@ -4,7 +4,7 @@
 #include <cmath>
 #include <random>
 
-#include "fleet/fleet.hpp"
+#include "fleet/fleet_api.hpp"
 #include "fleet/shard.hpp"
 #include "gpu/batch_planner.hpp"
 #include "gpu/device_profile.hpp"

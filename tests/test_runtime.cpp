@@ -7,7 +7,7 @@
 #include <tuple>
 
 #include "assoc/association.hpp"
-#include "fleet/fleet.hpp"
+#include "fleet/fleet_api.hpp"
 #include "obs/obs.hpp"
 #include "runtime/oracles.hpp"
 #include "runtime/pipeline.hpp"

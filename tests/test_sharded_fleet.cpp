@@ -20,7 +20,7 @@
 
 #include <optional>
 
-#include "fleet/fleet.hpp"
+#include "fleet/fleet_api.hpp"
 #include "obs/obs.hpp"
 #include "runtime/trace.hpp"
 #include "util/json.hpp"
@@ -118,11 +118,11 @@ void expect_snapshot_identical(const FleetSnapshot& a, const FleetSnapshot& b) {
 
 TEST(FleetPlane, MakeFleetBuildsThePlaneAtEveryShardCount) {
   FleetConfig cfg;
-  const std::unique_ptr<FleetApi> one = make_fleet(cfg);
+  const std::unique_ptr<Fleet> one = make_fleet(cfg);
   EXPECT_EQ(one->snapshot().shards, 1);
   EXPECT_EQ(one->snapshot().shard_rollups.size(), 1u);
   cfg.shards = 4;
-  const std::unique_ptr<FleetApi> four = make_fleet(cfg);
+  const std::unique_ptr<Fleet> four = make_fleet(cfg);
   EXPECT_EQ(four->snapshot().shards, 4);
   EXPECT_EQ(four->snapshot().shard_rollups.size(), 4u);
 }

@@ -389,9 +389,9 @@ int main(int argc, char** argv) {
       return usage(argv[0], 2);
     }
 
-    // The CLI consumes the serving plane through FleetApi only: make_fleet
-    // builds it at any shard count, and nothing below cares.
-    const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(*fc);
+    // The CLI consumes the serving plane through fleet_api.hpp only:
+    // make_fleet builds it at any shard count, and nothing below cares.
+    const std::unique_ptr<fleet::Fleet> fleet = fleet::make_fleet(*fc);
     for (const fleet::SessionSpec& spec : frc.sessions) {
       const fleet::AdmitResult admit = fleet->admit(spec);
       if (admit.admitted) {
