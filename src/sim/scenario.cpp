@@ -1,9 +1,11 @@
 #include "sim/scenario.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <string_view>
 
@@ -224,8 +226,20 @@ std::optional<CityConfig> parse_city_name(const std::string& name) {
       &c.flash_duration_s, &c.flash_multiplier, &night, &c.night_period_s,
       &c.night_miss_boost, &consumed);
   if (n != 9 || rest + consumed != end) return std::nullopt;
+  // The ranges of the config's "city" block (runtime/config.cpp): every
+  // value finite, so nan and inf fail here as they fail there.
+  const double values[] = {c.block_m,          c.rate_per_s,
+                           c.camera_depth_m,   c.flash_at_s,
+                           c.flash_duration_s, c.flash_multiplier,
+                           c.night_period_s,   c.night_miss_boost};
+  if (!std::all_of(std::begin(values), std::end(values),
+                   [](double v) { return std::isfinite(v); }))
+    return std::nullopt;
   if (c.cameras < 1 || c.cameras > 1000 || c.block_m <= 0.0 ||
-      c.camera_depth_m <= 0.0 || c.rate_per_s < 0.0)
+      c.rate_per_s < 0.0 || c.camera_depth_m <= 0.0 ||
+      c.flash_duration_s <= 0.0 || c.flash_multiplier <= 0.0 ||
+      c.night_period_s <= 0.0 || c.night_miss_boost < 0.0 ||
+      c.night_miss_boost > 1.0)
     return std::nullopt;
   c.day_night = night != 0;
   return c;

@@ -100,8 +100,10 @@ Scenario make_city(const CityConfig& config, std::uint64_t seed);
 /// city grids.
 std::string city_scenario_name(const CityConfig& config);
 
-/// Decode a city scenario name; nullopt when `name` is not a city name or
-/// is malformed. The bare name "city" yields the default CityConfig.
+/// Decode a city scenario name; nullopt when `name` is not a city name, is
+/// malformed, or holds a value the config's "city" block rejects (a
+/// non-finite number or one out of its field's range). The bare name
+/// "city" yields the default CityConfig.
 std::optional<CityConfig> parse_city_name(const std::string& name);
 
 /// Scenario factory by name ("S1" | "S2" | "S3" | "city[:...]").

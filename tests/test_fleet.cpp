@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <stdexcept>
 
 #include "fleet/fleet_api.hpp"
 #include "fleet/shard.hpp"
 #include "gpu/batch_planner.hpp"
 #include "gpu/device_profile.hpp"
 #include "policy/policy.hpp"
+#include "sim/scenario.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -731,6 +733,20 @@ TEST(FleetAdmission, NoSloAdmitsEverything) {
   EXPECT_TRUE(fleet.admit(spec("b", 6)).admitted);
   EXPECT_EQ(fleet.session_count(), 2u);
   EXPECT_EQ(fleet.snapshot().rejected, 0);
+}
+
+TEST(FleetAdmission, NonFiniteCityNameThrowsLikeAnUnknownName) {
+  Fleet fleet;
+  SessionSpec unknown = spec("unknown");
+  unknown.scenario = "S9";
+  EXPECT_THROW(fleet.admit(unknown), std::invalid_argument);
+  sim::CityConfig city;
+  city.cameras = 4;
+  city.block_m = std::nan("");
+  SessionSpec non_finite = spec("non-finite");
+  non_finite.scenario = sim::city_scenario_name(city);
+  EXPECT_THROW(fleet.admit(non_finite), std::invalid_argument);
+  EXPECT_EQ(fleet.session_count(), 0u);
 }
 
 TEST(FleetAdmission, DetectOrTrackPolicyScalesPartialDemand) {

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -281,6 +283,50 @@ TEST(CityScenario, NameRoundTripsAndFactoryBuilds) {
   EXPECT_GT(s.warmup_s, 0.0);
 }
 
+/// City names that each move one field of a 4-camera grid to a bound of
+/// the config's "city" block, paired with whether that block accepts the
+/// value: nan and +-inf in every field, and each range's edges.
+std::vector<std::pair<std::string, bool>> city_edge_names() {
+  using sim::CityConfig;
+  std::vector<std::pair<std::string, bool>> names;
+  const auto add = [&](auto field, auto value, bool valid) {
+    CityConfig c;
+    c.cameras = 4;
+    c.*field = value;
+    names.emplace_back(sim::city_scenario_name(c), valid);
+  };
+  const double kNan = std::nan("");
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const auto field :
+       {&CityConfig::block_m, &CityConfig::rate_per_s,
+        &CityConfig::camera_depth_m, &CityConfig::flash_at_s,
+        &CityConfig::flash_duration_s, &CityConfig::flash_multiplier,
+        &CityConfig::night_period_s, &CityConfig::night_miss_boost})
+    for (const double value : {kNan, kInf, -kInf}) add(field, value, false);
+  add(&CityConfig::cameras, 0, false);
+  add(&CityConfig::cameras, 1, true);
+  add(&CityConfig::cameras, 1000, true);
+  add(&CityConfig::cameras, 1001, false);
+  add(&CityConfig::block_m, 0.0, false);
+  add(&CityConfig::block_m, 1e-9, true);
+  add(&CityConfig::rate_per_s, -1e-9, false);
+  add(&CityConfig::rate_per_s, 0.0, true);
+  add(&CityConfig::camera_depth_m, 0.0, false);
+  add(&CityConfig::camera_depth_m, 1e-9, true);
+  add(&CityConfig::flash_at_s, -5.0, true);
+  add(&CityConfig::flash_duration_s, 0.0, false);
+  add(&CityConfig::flash_duration_s, 1e-9, true);
+  add(&CityConfig::flash_multiplier, 0.0, false);
+  add(&CityConfig::flash_multiplier, 1e-9, true);
+  add(&CityConfig::night_period_s, 0.0, false);
+  add(&CityConfig::night_period_s, 1e-9, true);
+  add(&CityConfig::night_miss_boost, -1e-9, false);
+  add(&CityConfig::night_miss_boost, 0.0, true);
+  add(&CityConfig::night_miss_boost, 1.0, true);
+  add(&CityConfig::night_miss_boost, 1.0 + 1e-9, false);
+  return names;
+}
+
 TEST(CityScenario, BareNameYieldsDefaults) {
   const auto parsed = sim::parse_city_name("city");
   ASSERT_TRUE(parsed.has_value());
@@ -296,6 +342,18 @@ TEST(CityScenario, BareNameYieldsDefaults) {
   EXPECT_FALSE(sim::parse_city_name("city:cams=4294967297" + tail).has_value());
   EXPECT_FALSE(sim::parse_city_name("city:cams=4" + tail + ";zzz").has_value());
   EXPECT_FALSE(sim::parse_city_name("city:cams=" + tail).has_value());
+  for (const auto& [name, valid] : city_edge_names())
+    EXPECT_EQ(sim::parse_city_name(name).has_value(), valid) << name;
+}
+
+TEST(CityScenario, NameParserAgreesWithTheConfigBlock) {
+  for (const auto& [name, valid] : city_edge_names()) {
+    runtime::RunConfig config;
+    config.scenario = name;
+    EXPECT_EQ(sim::parse_city_name(name).has_value(),
+              runtime::validate(config))
+        << name;
+  }
 }
 
 TEST(CityScenario, FlashCrowdMultipliesArrivalRate) {

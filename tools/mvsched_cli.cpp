@@ -258,7 +258,10 @@ bool apply_cli_options(const mvs::util::Args& args,
   if (const auto spec = args.get("flash-crowd")) {
     sim::CityConfig cc =
         sim::parse_city_name(run.scenario).value_or(sim::CityConfig{});
-    if (!parse_flash_crowd(*spec, &cc))
+    // The name's parser holds the city block's ranges (a positive
+    // duration and multiplier).
+    if (!parse_flash_crowd(*spec, &cc) ||
+        !sim::parse_city_name(sim::city_scenario_name(cc)))
       return fail(error, "bad --flash-crowd spec: " + *spec);
     run.scenario = sim::city_scenario_name(cc);
   }
