@@ -346,9 +346,8 @@ class Fleet {
   std::vector<std::size_t> fold_cursors_;
 };
 
-/// The serving plane's former interface name. Fleet is the only serving
-/// type; the alias stays only because the benchmark of record
-/// (perfbench/perfbench.cpp) still names it.
+/// Another name for Fleet, kept only because the benchmark of record
+/// (perfbench/perfbench.cpp) names it.
 using FleetApi = Fleet;
 
 /// Build the serving plane: a Fleet of max(1, config.shards) shards.
