@@ -1,11 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "metrics/mot.hpp"
 #include "ml/kdtree.hpp"
 #include "ml/knn.hpp"
-#include "ml/random_forest.hpp"
 #include "util/rng.hpp"
 
 namespace mvs {
@@ -80,103 +76,6 @@ TEST(KdTree, KCappedAtSize) {
   const auto points = random_points(rng, 6, 3);
   ml::KdTree tree(points);
   EXPECT_EQ(tree.nearest({0, 0, 0}, 100).size(), 6u);
-}
-
-TEST(RandomForest, SeparatesBlobs) {
-  util::Rng rng(3);
-  std::vector<Feature> xs;
-  std::vector<int> ys;
-  for (int i = 0; i < 300; ++i) {
-    const bool positive = i % 2 == 0;
-    const double c = positive ? 3.0 : 0.0;
-    xs.push_back({c + rng.gaussian(0, 0.5), c + rng.gaussian(0, 0.5)});
-    ys.push_back(positive ? 1 : 0);
-  }
-  ml::RandomForest forest;
-  forest.fit(xs, ys);
-  EXPECT_EQ(forest.tree_count(), 15u);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    correct += forest.predict(xs[i]) == (ys[i] == 1);
-  EXPECT_GE(static_cast<double>(correct) / xs.size(), 0.97);
-}
-
-TEST(RandomForest, SolvesXor) {
-  util::Rng rng(4);
-  std::vector<Feature> xs;
-  std::vector<int> ys;
-  for (int i = 0; i < 500; ++i) {
-    const double a = rng.uniform(-1, 1), b = rng.uniform(-1, 1);
-    xs.push_back({a, b});
-    ys.push_back((a > 0) != (b > 0) ? 1 : 0);
-  }
-  ml::RandomForest forest;
-  forest.fit(xs, ys);
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    correct += forest.predict(xs[i]) == (ys[i] == 1);
-  EXPECT_GE(static_cast<double>(correct) / xs.size(), 0.9);
-}
-
-TEST(RandomForest, DecisionSignMatchesPredict) {
-  util::Rng rng(5);
-  std::vector<Feature> xs;
-  std::vector<int> ys;
-  for (int i = 0; i < 100; ++i) {
-    xs.push_back({rng.uniform(0, 1), rng.uniform(0, 1)});
-    ys.push_back(xs.back()[0] > 0.5 ? 1 : 0);
-  }
-  ml::RandomForest forest;
-  forest.fit(xs, ys);
-  for (int i = 0; i < 20; ++i)
-    EXPECT_EQ(forest.predict(xs[static_cast<std::size_t>(i)]),
-              forest.decision(xs[static_cast<std::size_t>(i)]) > 0.0);
-}
-
-TEST(Mot, PerfectTrackingIsMotaOne) {
-  metrics::MotAccumulator mot;
-  for (int f = 0; f < 10; ++f)
-    mot.add_frame({{1, 100}, {2, 200}}, 0, 0);
-  EXPECT_DOUBLE_EQ(mot.mota(), 1.0);
-  EXPECT_EQ(mot.id_switches(), 0u);
-  EXPECT_EQ(mot.fragmentations(), 0u);
-  EXPECT_DOUBLE_EQ(mot.identity_consistency(), 1.0);
-}
-
-TEST(Mot, CountsMissesAndFalsePositives) {
-  metrics::MotAccumulator mot;
-  mot.add_frame({{1, 100}}, 1, 2);  // 1 match, 1 miss, 2 FP tracks
-  EXPECT_EQ(mot.matches(), 1u);
-  EXPECT_EQ(mot.misses(), 1u);
-  EXPECT_EQ(mot.false_positives(), 2u);
-  // MOTA = 1 - (1 + 2 + 0) / 2 = -0.5.
-  EXPECT_DOUBLE_EQ(mot.mota(), -0.5);
-}
-
-TEST(Mot, DetectsIdSwitch) {
-  metrics::MotAccumulator mot;
-  mot.add_frame({{1, 100}}, 0, 0);
-  mot.add_frame({{1, 100}}, 0, 0);
-  mot.add_frame({{7, 100}}, 0, 0);  // same object, new track id
-  EXPECT_EQ(mot.id_switches(), 1u);
-  EXPECT_EQ(mot.fragmentations(), 1u);
-  // 2 of 3 observations carry the dominant id.
-  EXPECT_NEAR(mot.identity_consistency(), 2.0 / 3.0, 1e-12);
-}
-
-TEST(Mot, SwitchBackCountsTwiceButFragmentsOnce) {
-  metrics::MotAccumulator mot;
-  mot.add_frame({{1, 100}}, 0, 0);
-  mot.add_frame({{2, 100}}, 0, 0);
-  mot.add_frame({{1, 100}}, 0, 0);
-  EXPECT_EQ(mot.id_switches(), 2u);
-  EXPECT_EQ(mot.fragmentations(), 1u);  // two distinct pairings total
-}
-
-TEST(Mot, EmptyIsPerfect) {
-  metrics::MotAccumulator mot;
-  EXPECT_DOUBLE_EQ(mot.mota(), 1.0);
-  EXPECT_DOUBLE_EQ(mot.identity_consistency(), 1.0);
 }
 
 }  // namespace
