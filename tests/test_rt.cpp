@@ -15,7 +15,10 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -354,6 +357,81 @@ TEST(CityScenario, NameParserAgreesWithTheConfigBlock) {
               runtime::validate(config))
         << name;
   }
+}
+
+TEST(CityScenario, SeededNameMutationsParseCleanlyAndAgree) {
+  // Seeded edits of encoded names: characters from the name's own alphabet,
+  // whole numeric tokens (nan, inf, overflowing and hex forms among them),
+  // whitespace, and deleted, duplicated or truncated spans. The parser
+  // must never throw, must accept exactly what the config's "city" block
+  // accepts, and every accepted name must reach a fixed point through
+  // encode -> parse.
+  sim::CityConfig busy;
+  busy.cameras = 12;
+  busy.block_m = 70.5;
+  busy.rate_per_s = 0.05;
+  busy.flash_at_s = -3.25;
+  busy.flash_multiplier = 3.0;
+  busy.day_night = true;
+  busy.night_miss_boost = 1.0;
+  const std::string bases[] = {sim::city_scenario_name({}),
+                               sim::city_scenario_name(busy), "city"};
+  const std::string kTokens[] = {
+      "nan",   "inf",   "-inf",  "NaN", "infinity", "1e309", "-1e-320",
+      "-0",    "0x1p3", "1e",    "+",   "-",        ".",     " ",
+      "\t",    "\n",    ";",     ",",   "=",        "city:", "cams=",
+      "night=", "0",    "1",     "2",   "1000",     "1001",  "4294967297"};
+  constexpr std::string_view kChars = "0123456789.,;=-+e abcdfghilmnpst:x";
+  std::mt19937_64 rng(20261020);
+  const auto below = [&](std::size_t n) {
+    return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
+  };
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    std::string name = bases[below(std::size(bases))];
+    for (int edit = 0, edits = 1 + static_cast<int>(below(3)); edit < edits;
+         ++edit) {
+      const std::size_t at = below(name.size() + 1);
+      switch (below(6)) {
+        case 0:
+          if (at < name.size()) name[at] = kChars[below(kChars.size())];
+          break;
+        case 1: name.insert(at, kTokens[below(std::size(kTokens))]); break;
+        case 2: name.erase(at, 1 + below(4)); break;
+        case 3: name.resize(at); break;
+        case 4: name.insert(at, name.substr(at, 1 + below(6))); break;
+        case 5: {
+          // Replace one whole field value: the text after a '=' or ','
+          // up to the next separator.
+          const std::size_t open = name.find_first_of("=,", at);
+          if (open == std::string::npos) break;
+          const std::size_t close = name.find_first_of(";,", open + 1);
+          name.replace(open + 1,
+                       (close == std::string::npos ? name.size() : close) -
+                           open - 1,
+                       kTokens[below(std::size(kTokens))]);
+          break;
+        }
+      }
+    }
+    std::optional<sim::CityConfig> parsed;
+    ASSERT_NO_THROW(parsed = sim::parse_city_name(name)) << name;
+    runtime::RunConfig config;
+    config.scenario = name;
+    ASSERT_EQ(parsed.has_value(), runtime::validate(config)) << name;
+    if (!parsed) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string once = sim::city_scenario_name(*parsed);
+    const auto reparsed = sim::parse_city_name(once);
+    ASSERT_TRUE(reparsed.has_value()) << name << " -> " << once;
+    ASSERT_EQ(sim::city_scenario_name(*reparsed), once) << name;
+  }
+  // Both outcomes are exercised, so neither side of the agreement is empty.
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 300);
 }
 
 TEST(CityScenario, FlashCrowdMultipliesArrivalRate) {

@@ -597,20 +597,43 @@ TEST(PaddedSad, MatchesReferenceSad) {
 
 TEST(RendererGolden, ByteIdenticalToReferenceRender) {
   // Amplitudes cover no noise, the default, spans below and above one byte
-  // (127 -> 255, 200 -> 401) and every clamp direction. One renderer per
-  // amplitude renders several cameras in turn, so the cached background is
-  // rebuilt on each seed change and reused across frames.
+  // (127 -> 255, 200 -> 401), noise below -255 (255, 300) and every clamp
+  // direction. One renderer per amplitude renders several cameras in turn,
+  // so the cached background is rebuilt on each seed change and reused
+  // across frames.
+  //
+  // Object texels are 2x2 and anchored to the box's unclipped integer
+  // origin. The last four scenes put that origin on odd columns and rows,
+  // inside the frame and past its left and top edges (where the clipped
+  // origin has the other parity), draw boxes 1 and 3 pixels wide or tall,
+  // boxes that overhang the right and bottom edges, and overlapping boxes,
+  // whose later object wins.
   const std::vector<std::vector<RenderObject>> scenes = {
       {},
       {{42, {30.5, 20.25, 24, 16}}},
-      {{7, {-6, -4, 30, 20}}, {8, {140, 80, 40, 30}}, {9, {60, 40, 12, 9}}}};
+      {{7, {-6, -4, 30, 20}}, {8, {140, 80, 40, 30}}, {9, {60, 40, 12, 9}}},
+      {{3, {31, 17, 24, 13}}, {4, {64, 40, 7, 9}}},
+      {{5, {11, 9, 1, 20}},
+       {6, {40, 21, 3, 3}},
+       {7, {70, 5, 30, 1}},
+       {8, {90, 33, 3, 1}},
+       {9, {101, 3, 1, 1}}},
+      {{10, {-5, -3, 20, 15}},
+       {11, {-7, 30, 12.5, 9}},
+       {12, {45, -1, 9, 6}},
+       {13, {151, 55, 20, 20}},
+       {14, {120, 57, 17, 11}}},
+      {{15, {20, 20, 40, 30}},
+       {16, {35, 27, 25, 21}},
+       {17, {41, 31, 3, 3}},
+       {18, {-4.5, 10.25, 9.5, 6.75}}}};
   // Each frame is rendered into an Image and into a PaddedImage that held
   // other pixels: the padded interior must match byte for byte and its
   // border must replicate the edge. 157x61 leaves a partial texel column
   // and row.
   util::Rng rng(17);
   for (const auto& [width, height] : {std::pair{160, 90}, std::pair{157, 61}}) {
-    for (const int amplitude : {0, 1, 3, 8, 127, 200}) {
+    for (const int amplitude : {0, 1, 3, 8, 127, 200, 255, 300}) {
       Renderer::Config cfg;
       cfg.width = width;
       cfg.height = height;
@@ -735,6 +758,77 @@ TEST(OpticalFlowGolden, TiledComputeMatchesUntiled) {
   expect_fields_bit_identical(
       tiled, reference_flow(flow.config(), r.render(scene_a, 0, 5),
                             r.render(scene_b, 1, 5)));
+}
+
+/// w x h frame whose pixel (x, y) is `pattern(x, y)`.
+template <typename Pattern>
+Image pattern_image(int w, int h, Pattern pattern) {
+  Image img(w, h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x)
+      img.set(x, y, static_cast<std::uint8_t>(pattern(x, y)));
+  return img;
+}
+
+TEST(OpticalFlowGolden, FirstMinimumWinsOnHeavyTies) {
+  // Frames where many candidates reach the same cost, so the winner is
+  // decided by the reference's strict `<`: the first minimum in dy-outer,
+  // dx-inner order. Period-2 stripes and checkerboards moved by one pixel
+  // match exactly at dx = -1 and +1 (and dy = -1 and +1) at equal
+  // penalties; binary noise gives small SADs that tie often; flat frames
+  // and noise-free renders tie on every candidate inside flat texels.
+  // Radii 2 and 5 search 25 and 121 candidates, not a multiple of the
+  // matcher's four min accumulators.
+  const auto stripes = [](int period, int shift, bool vertical) {
+    return [=](int x, int y) {
+      return ((vertical ? x : y) + shift) / (period / 2) % 2 ? 200 : 50;
+    };
+  };
+  const auto checker = [](int shift) {
+    return [=](int x, int y) { return (x + y + shift) % 2 ? 180 : 40; };
+  };
+  std::vector<std::pair<Image, Image>> pairs;
+  for (const auto& [w, h] : {std::pair{64, 40}, std::pair{72, 48}}) {
+    pairs.emplace_back(Image(w, h, 128), Image(w, h, 128));
+    for (const bool vertical : {true, false}) {
+      pairs.emplace_back(pattern_image(w, h, stripes(2, 0, vertical)),
+                         pattern_image(w, h, stripes(2, 1, vertical)));
+      pairs.emplace_back(pattern_image(w, h, stripes(4, 0, vertical)),
+                         pattern_image(w, h, stripes(4, 2, vertical)));
+    }
+    pairs.emplace_back(pattern_image(w, h, checker(0)),
+                       pattern_image(w, h, checker(1)));
+    util::Rng rng(static_cast<std::uint64_t>(w));
+    const auto bit = [&](int, int) { return rng.uniform_int(0, 1); };
+    const Image a = pattern_image(w, h, bit);
+    pairs.emplace_back(a, pattern_image(w, h, bit));
+    Renderer::Config rc;
+    rc.width = w;
+    rc.height = h;
+    rc.noise_amplitude = 0;
+    const Renderer r(rc);
+    const geom::BBox box{13, 9, 22, 15};
+    pairs.emplace_back(r.render({{2, box}}, 0, 4),
+                       r.render({{2, box.shifted({2, -1})}}, 1, 4));
+  }
+  for (const auto& [a, b] : pairs) {
+    for (const int block : {8, 4}) {
+      for (const int levels : {1, 3}) {
+        for (const int radius : {2, 3, 5}) {
+          OpticalFlow::Config cfg;
+          cfg.block_size = block;
+          cfg.pyramid_levels = levels;
+          cfg.search_radius = radius;
+          const OpticalFlow flow(cfg);
+          SCOPED_TRACE(testing::Message()
+                       << a.width() << "x" << a.height() << " block=" << block
+                       << " levels=" << levels << " radius=" << radius);
+          expect_fields_bit_identical(flow.compute(a, b),
+                                      reference_flow(cfg, a, b));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
