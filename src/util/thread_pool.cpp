@@ -99,8 +99,14 @@ struct ThreadPool::TileGroup {
       // observes this tile as completed; acquire makes the final increment
       // see every earlier tile's writes before flipping `done`.
       if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        // Release pairs with the caller's acquire load/wait on `done`.
-        done.store(1, std::memory_order_release);
+        // Seq_cst RMW, not a plain release store: notify_all() skips the
+        // futex wake when its seq_cst load of the library's waiter count
+        // reads 0, and on x86 a plain store may be reordered after that
+        // load, so a caller entering its wait in between could miss both
+        // the flag and the wake. The RMW is a full barrier on x86 (the same
+        // reasoning as sleepers_, DESIGN.md §11). Its release half pairs
+        // with the caller's acquire load/wait on `done`.
+        done.exchange(1, std::memory_order_seq_cst);
         done.notify_all();
       }
     }
