@@ -104,6 +104,36 @@ void BM_RendererInto(benchmark::State& state) {
 }
 BENCHMARK(BM_RendererInto)->Arg(320)->Arg(640)->Unit(benchmark::kMillisecond);
 
+// A city camera's load: 12 boxes, some overlapping and some clipped by
+// every edge, drifting a little each frame, so the object pass is timed
+// beside the background and the noise pass.
+void BM_RendererIntoCity(benchmark::State& state) {
+  vision::Renderer::Config rc;
+  rc.width = static_cast<int>(state.range(0));
+  rc.height = rc.width * 9 / 16;
+  const vision::Renderer renderer(rc);
+  const double w = rc.width, h = rc.height;
+  const std::vector<vision::RenderObject> base = {
+      {1, {0.10 * w, 0.20 * h, 30, 20}},  {2, {0.15 * w, 0.25 * h, 28, 22}},
+      {3, {0.40 * w, 0.10 * h, 16, 34}},  {4, {0.55 * w, 0.50 * h, 44, 26}},
+      {5, {0.60 * w, 0.55 * h, 20, 18}},  {6, {0.80 * w, 0.30 * h, 12, 9}},
+      {7, {-9.5, 0.60 * h, 25, 17}},      {8, {w - 13.0, 0.40 * h, 31, 21}},
+      {9, {0.30 * w, -7.0, 19, 15}},      {10, {0.70 * w, h - 11.0, 27, 23}},
+      {11, {0.25 * w, 0.70 * h, 9, 7}},   {12, {0.50 * w, 0.30 * h, 33, 19}}};
+  std::vector<vision::RenderObject> scene = base;
+  vision::Image out;
+  long frame = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < scene.size(); ++i)
+      scene[i].box = base[i].box.shifted(
+          {0.5 * static_cast<double>((frame + static_cast<long>(i)) % 7),
+           0.25 * static_cast<double>(frame % 5)});
+    renderer.render_into(scene, frame++, 7, out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_RendererIntoCity)->Arg(320)->Unit(benchmark::kMillisecond);
+
 void BM_DownsampleInto(benchmark::State& state) {
   // One pyramid step: padded plane to padded plane, border fill included.
   vision::Renderer::Config rc;

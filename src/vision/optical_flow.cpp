@@ -51,29 +51,55 @@ class PairRef {
     }
   }
 
-  /// Integer SADs of the left and right blocks against the 16x8 window of
-  /// `b` at (x, y).
-  std::array<std::uint32_t, 2> sad(const PaddedImage& b, int x, int y) const {
+  /// Pass 1 of the pair matcher: the integer SADs of the left and right
+  /// blocks against the 16x8 window of `b` at every (x + i, y + j) with i
+  /// and j in [0, side), in j-outer, i-inner order: out[2k] is the left
+  /// block's SAD at candidate k and out[2k + 1] the right block's. The loop
+  /// does nothing else, so the eight reference rows stay in registers.
+  void window_sads(const PaddedImage& b, int x, int y, int side,
+                   std::uint32_t* out) const {
     const std::ptrdiff_t stride = b.stride();
-    const std::uint8_t* rb = b.row(y) + x;
 #if defined(__SSE2__)
-    __m128i acc = _mm_setzero_si128();
-    for (int i = 0; i < 8; ++i, rb += stride)
-      acc = _mm_add_epi32(
-          acc, _mm_sad_epu8(rows_[i], _mm_loadu_si128(
-                                          reinterpret_cast<const __m128i*>(rb))));
-    // Each lane holds at most 8 * 8 * 255 = 16320, so 16 bits suffice.
-    return {static_cast<std::uint32_t>(_mm_cvtsi128_si32(acc)),
-            static_cast<std::uint32_t>(_mm_extract_epi16(acc, 4))};
-#else
-    std::uint32_t left = 0, right = 0;
-    for (int i = 0; i < 8; ++i, rb += stride) {
-      for (int j = 0; j < 8; ++j) {
-        left += abs_diff(rows_[i][j], rb[j]);
-        right += abs_diff(rows_[i][8 + j], rb[8 + j]);
+    const __m128i r0 = rows_[0], r1 = rows_[1], r2 = rows_[2], r3 = rows_[3],
+                  r4 = rows_[4], r5 = rows_[5], r6 = rows_[6], r7 = rows_[7];
+    for (int j = 0; j < side; ++j) {
+      const std::uint8_t* rb = b.row(y + j) + x;
+      for (int i = 0; i < side; ++i, out += 2) {
+        const std::uint8_t* p = rb + i;
+        // The loaded row is the destination operand, so no reference row
+        // is copied per candidate.
+        const auto sad = [&](__m128i ref, int row) {
+          return _mm_sad_epu8(
+              _mm_loadu_si128(
+                  reinterpret_cast<const __m128i*>(p + row * stride)),
+              ref);
+        };
+        const __m128i acc = _mm_add_epi32(
+            _mm_add_epi32(_mm_add_epi32(sad(r0, 0), sad(r1, 1)),
+                          _mm_add_epi32(sad(r2, 2), sad(r3, 3))),
+            _mm_add_epi32(_mm_add_epi32(sad(r4, 4), sad(r5, 5)),
+                          _mm_add_epi32(sad(r6, 6), sad(r7, 7))));
+        // The sums sit in 32-bit lanes 0 and 2 (each at most
+        // 8 * 8 * 255 = 16320); move them next to each other.
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
+                         _mm_shuffle_epi32(acc, _MM_SHUFFLE(3, 1, 2, 0)));
       }
     }
-    return {left, right};
+#else
+    for (int j = 0; j < side; ++j) {
+      for (int i = 0; i < side; ++i, out += 2) {
+        const std::uint8_t* rb = b.row(y + j) + x + i;
+        std::uint32_t left = 0, right = 0;
+        for (int row = 0; row < 8; ++row, rb += stride) {
+          for (int k = 0; k < 8; ++k) {
+            left += abs_diff(rows_[row][k], rb[k]);
+            right += abs_diff(rows_[row][8 + k], rb[8 + k]);
+          }
+        }
+        out[0] = left;
+        out[1] = right;
+      }
+    }
 #endif
   }
 
@@ -84,6 +110,94 @@ class PairRef {
   std::uint8_t rows_[8][16];
 #endif
 };
+
+/// Per-thread candidate buffers of the pair matcher. Rows run on arbitrary
+/// pool workers and capacity persists, so steady ticks allocate nothing
+/// (DESIGN.md §11).
+struct PairCandidates {
+  std::vector<std::uint32_t> sads;  ///< pass 1: left, right per candidate
+  std::vector<double> costs;        ///< pass 2: left, right per candidate
+  /// Each candidate's penalty, twice (one per block), for the window at
+  /// (x_lo, y_lo) with `side` candidates per row. Neighbouring pairs mostly
+  /// share their seed, so the table is rebuilt only when the window moves.
+  std::vector<double> penalties;
+  int x_lo = 0, y_lo = 0, side = 0;
+};
+
+/// Pass 2 of the pair matcher: cost[2k + j] = double(sad[2k + j]) +
+/// penalty[2k + j] for the `n` candidates k and both blocks j, the
+/// reference's cost expression; returns each block's minimum cost. Costs
+/// are finite and never -0.0, so any reduction order gives the same value:
+/// the SSE2 body computes two lanes at a time and keeps four accumulators,
+/// so the minimum is not one latency chain.
+std::array<double, 2> pair_costs(const std::uint32_t* sad,
+                                 const double* penalty, double* cost,
+                                 std::size_t n) {
+  std::size_t k = 0;
+#if defined(__SSE2__)
+  // A SAD is at most 16320, so the signed conversion is exact.
+  const auto at = [&](std::size_t i) {
+    const __m128d c = _mm_add_pd(
+        _mm_cvtepi32_pd(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(sad + 2 * i))),
+        _mm_loadu_pd(penalty + 2 * i));
+    _mm_storeu_pd(cost + 2 * i, c);
+    return c;
+  };
+  const __m128d inf = _mm_set1_pd(std::numeric_limits<double>::infinity());
+  __m128d m0 = inf, m1 = inf, m2 = inf, m3 = inf;
+  for (; k + 4 <= n; k += 4) {
+    m0 = _mm_min_pd(m0, at(k));
+    m1 = _mm_min_pd(m1, at(k + 1));
+    m2 = _mm_min_pd(m2, at(k + 2));
+    m3 = _mm_min_pd(m3, at(k + 3));
+  }
+  for (; k < n; ++k) m0 = _mm_min_pd(m0, at(k));
+  const __m128d m = _mm_min_pd(_mm_min_pd(m0, m1), _mm_min_pd(m2, m3));
+  return {_mm_cvtsd_f64(m), _mm_cvtsd_f64(_mm_unpackhi_pd(m, m))};
+#else
+  std::array<double, 2> best = {std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::infinity()};
+  for (; k < 2 * n; ++k) {
+    cost[k] = static_cast<double>(sad[k]) + penalty[k];
+    best[k % 2] = std::min(best[k % 2], cost[k]);
+  }
+  return best;
+#endif
+}
+
+/// Each block's winner: the first candidate k, in the window's dy-outer,
+/// dx-inner order, whose cost equals the block's minimum `best`. That is
+/// the one the reference's sequential strict `<` keeps (DESIGN.md §7).
+/// `cost` is laid out as pair_costs() writes it and padded with +inf to
+/// whole groups of four candidates; `best` is attained, so the scan ends.
+std::array<int, 2> first_minimum(const double* cost,
+                                 const std::array<double, 2>& best) {
+  std::array<int, 2> first = {-1, -1};
+#if defined(__SSE2__)
+  // Four candidates per step: bit 2i + j of `hit` is candidate k + i of
+  // block j.
+  const __m128d target = _mm_set_pd(best[1], best[0]);
+  const auto hits = [&](const double* c) {
+    return _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(c), target));
+  };
+  for (int k = 0; first[0] < 0 || first[1] < 0; k += 4, cost += 8) {
+    const int hit = hits(cost) | hits(cost + 2) << 2 | hits(cost + 4) << 4 |
+                    hits(cost + 6) << 6;
+    if (first[0] < 0 && (hit & 0x55) != 0)
+      first[0] = k + __builtin_ctz(static_cast<unsigned>(hit & 0x55)) / 2;
+    if (first[1] < 0 && (hit & 0xAA) != 0)
+      first[1] = k + __builtin_ctz(static_cast<unsigned>(hit & 0xAA)) / 2;
+  }
+#else
+  for (std::size_t j = 0; j < 2; ++j) {
+    int k = 0;
+    while (cost[2 * static_cast<std::size_t>(k) + j] != best[j]) ++k;
+    first[j] = k;
+  }
+#endif
+  return first;
+}
 
 }  // namespace
 
@@ -257,10 +371,10 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
     est[idx] = {static_cast<double>(best_dx), static_cast<double>(best_dy)};
     if (res != nullptr) res[idx] = best / static_cast<double>(bs * bs);
   };
-  // Every candidate faces the reference's acceptance test on its full
-  // integer SAD, in dy-outer, dx-inner order (exact in any summation order;
-  // DESIGN.md §7). A slight zero-motion bias resolves flat-texture ties
-  // toward rest.
+  // A candidate's cost is the reference's `double(sad) + penalty` on its
+  // full integer SAD (exact in any summation order), and every block keeps
+  // the reference's winner (DESIGN.md §7). A slight zero-motion bias
+  // resolves flat-texture ties toward rest.
   auto penalty_of = [](int dx, int dy) {
     return 0.1 * (std::abs(dx) + std::abs(dy));
   };
@@ -269,6 +383,15 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
   // window, so one 16-byte SAD per row scores both. An odd last column runs
   // with a phantom right partner whose result is dropped.
   auto match_row_pairs = [&](int r) {
+    thread_local PairCandidates cand;
+    const int side = 2 * radius + 1;
+    const std::size_t n =
+        static_cast<std::size_t>(side) * static_cast<std::size_t>(side);
+    cand.sads.resize(2 * n);
+    // Padded with +inf to whole groups of four for first_minimum().
+    cand.costs.assign(2 * ((n + 3) / 4 * 4),
+                      std::numeric_limits<double>::infinity());
+    cand.penalties.resize(2 * n);
     const int by = r * 8;
     for (int c = 0; c < cols; c += 2) {
       const int bx = c * 8;
@@ -277,27 +400,28 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
       assert(bx + sx - radius >= -pb.pad() &&
              bx + sx + radius + 16 <= pb.width() + pb.pad() &&
              bx + 16 <= pa.width() + pa.pad());
-      const PairRef ref(pa, bx, by);
-      double best[2] = {std::numeric_limits<double>::infinity(),
-                        std::numeric_limits<double>::infinity()};
-      int best_dx[2] = {sx, sx}, best_dy[2] = {sy, sy};
-      for (int dy = sy - radius; dy <= sy + radius; ++dy) {
-        for (int dx = sx - radius; dx <= sx + radius; ++dx) {
-          const double penalty = penalty_of(dx, dy);
-          const std::array<std::uint32_t, 2> sad =
-              ref.sad(pb, bx + dx, by + dy);
-          for (int j = 0; j < 2; ++j) {
-            const double cost = static_cast<double>(sad[j]) + penalty;
-            if (cost < best[j]) {
-              best[j] = cost;
-              best_dx[j] = dx;
-              best_dy[j] = dy;
-            }
-          }
-        }
+      const int x_lo = sx - radius, y_lo = sy - radius;
+      // Pass 1: both blocks' integer SADs at every candidate.
+      PairRef(pa, bx, by).window_sads(pb, bx + x_lo, by + y_lo, side,
+                                      cand.sads.data());
+      // Pass 2: both blocks' costs side by side and each block's minimum.
+      if (x_lo != cand.x_lo || y_lo != cand.y_lo || side != cand.side) {
+        double* p = cand.penalties.data();
+        for (int dy = y_lo; dy < y_lo + side; ++dy)
+          for (int dx = x_lo; dx < x_lo + side; ++dx, p += 2)
+            p[0] = p[1] = penalty_of(dx, dy);
+        cand.x_lo = x_lo;
+        cand.y_lo = y_lo;
+        cand.side = side;
       }
-      store(c, r, best[0], best_dx[0], best_dy[0]);
-      if (c + 1 < cols) store(c + 1, r, best[1], best_dx[1], best_dy[1]);
+      const std::array<double, 2> best = pair_costs(
+          cand.sads.data(), cand.penalties.data(), cand.costs.data(), n);
+      const std::array<int, 2> first =
+          first_minimum(cand.costs.data(), best);
+      store(c, r, best[0], x_lo + first[0] % side, y_lo + first[0] / side);
+      if (c + 1 < cols)
+        store(c + 1, r, best[1], x_lo + first[1] % side,
+              y_lo + first[1] / side);
     }
   };
 

@@ -10,9 +10,13 @@
 // Performance engineering (DESIGN.md §7): matching runs SIMD integer SAD
 // kernels (SSE2 on x86-64, scalar elsewhere) over edge-replicated
 // PaddedImage rows. At the default 8x8 block size the matcher scores each
-// pair of horizontally adjacent blocks together, one 16-byte SAD per row;
-// other sizes pack each reference block once (SadBlock) and compare it
-// against every candidate. Per-camera FlowScratch state carries the previous
+// pair of horizontally adjacent blocks together, one 16-byte SAD per row,
+// in two passes: the first computes both blocks' SADs at every candidate
+// and nothing else; the second forms their costs side by side, takes each
+// block's minimum and picks the first candidate in scan order that reaches
+// it, the one the reference's strict `<` keeps. Other sizes pack each
+// reference block once (SadBlock) and compare it against every candidate
+// in one sequential loop. Per-camera FlowScratch state carries the previous
 // frame's pyramid across frames so each regular frame builds exactly one
 // pyramid and reallocates nothing. Outputs are bit-identical to the
 // straight-line reference implementation (kept in tests/test_vision.cpp as

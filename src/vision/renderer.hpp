@@ -8,11 +8,15 @@
 //
 // The background depends only on the camera seed, so its 4x4 texels are
 // drawn once and cached; per-frame work expands the cached texels one texel
-// row at a time, then draws the object rectangles and the noise pass. The
-// noise pass maps each hashed byte through a 256-entry table built once per
-// renderer, so no pixel pays an integer division (DESIGN.md §7). The cache
-// makes render() non-reentrant for a single Renderer instance (one renderer
-// per camera in the pipeline), while distinct instances stay independent.
+// row at a time, then draws the object rectangles and the noise pass. An
+// object's 2x2 texels are hashed once each: the value fills both columns
+// and the texel's second row copies its first. The noise pass maps each
+// hashed byte through a 256-entry int16 table built once per renderer, so
+// no pixel pays an integer division, hashes a chunk of each row into int16
+// noise, and adds the chunk with SSE2 where the saturating pack is the
+// clamp (DESIGN.md §7). The cache makes render() non-reentrant for a
+// single Renderer instance (one renderer per camera in the pipeline), while
+// distinct instances stay independent.
 
 #include <array>
 #include <cstddef>
@@ -67,8 +71,9 @@ class Renderer {
             std::uint64_t camera_seed, std::uint8_t* origin,
             std::ptrdiff_t stride) const;
 
-  /// Sensor noise per hashed byte t: t % (2a + 1) - a for amplitude a.
-  std::array<int, 256> noise_{};
+  /// Sensor noise per hashed byte t: t % (2a + 1) - a for amplitude a,
+  /// clamped to [-255, 255].
+  std::array<std::int16_t, 256> noise_{};
   // Background texel values, row-major over ceil(width / 4) x
   // ceil(height / 4) texels; rebuilt only when the camera seed changes.
   mutable std::vector<std::uint8_t> texels_;
